@@ -200,7 +200,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             max_levels=args.levels,
             gamma_assumed=args.gamma,
             lam=args.lam if args.method == "hier-p1" else None,
-            mode="p2_geometric" if args.method == "hier-p2" else "p1_contraction",
         )
         run = (
             variational.hierarchical_p2
@@ -263,12 +262,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # -- norms ---------------------------------------------------------------------
 
 
+def _norm_kinds(text: str) -> list[norms.NormKind]:
+    """argparse type of --kinds: a comma-separated list of NormKind specs."""
+    try:
+        return [norms.NormKind.parse(spec.strip()) for spec in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def cmd_norms(args: argparse.Namespace) -> int:
     f = fields.read_field(args.input)
-    out = {}
-    for spec_text in args.kinds.split(","):
-        kind = norms.NormKind.parse(spec_text.strip())
-        out[kind.label()] = kind.evaluate(f)
+    out = {kind.label(): kind.evaluate(f) for kind in args.kinds}
     _emit_report(out, args.report)
     return EXIT_OK
 
@@ -546,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = sub.add_parser("norms", help="evaluate norms of a field file")
     n.add_argument("--input", required=True)
-    n.add_argument("--kinds",
+    n.add_argument("--kinds", type=_norm_kinds,
                    default="lp:1,lp:2,linf,lorentz:2:1,weak:2,morrey,"
                    "tv:isotropic,tv:anisotropic")
     n.add_argument("--report", default=None)

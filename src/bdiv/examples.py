@@ -80,23 +80,13 @@ def nirenberg_field(n: int) -> ScalarField:
     solver stencils) of v(x1,x2) = x1 |log|x||^(1/3) zeta(|x|) with the
     bump zeta(r) = exp(-1/(1-r^2)) for |r| < 1.
     """
-    if n < 16:
-        raise ValueError(f"need n >= 16, got {n}")
-    grid = Grid((n, n), -1.0, 1.0, periodic=True)
-    x1, x2 = grid.meshgrid()
-    r2 = x1 * x1 + x2 * x2
-    v = np.zeros_like(r2)
-    interior = (r2 > 0.0) & (r2 < 1.0)
-    ri2 = r2[interior]
-    zeta = np.exp(-1.0 / (1.0 - ri2))
-    logfac = np.abs(0.5 * np.log(ri2)) ** (1.0 / 3.0)
-    v[interior] = x1[interior] * logfac * zeta
-    lap = divergence_array(gradient_array(v, grid), grid)
-    return mean_zero(ScalarField(grid, lap))
+    v = nirenberg_potential(n)
+    lap = divergence_array(gradient_array(v.values, v.grid), v.grid)
+    return mean_zero(ScalarField(v.grid, lap))
 
 
 def nirenberg_potential(n: int) -> ScalarField:
-    """The potential v itself (same sampling as nirenberg_field)."""
+    """The potential v of nirenberg_field, sampled at the cell centers."""
     if n < 16:
         raise ValueError(f"need n >= 16, got {n}")
     grid = Grid((n, n), -1.0, 1.0, periodic=True)

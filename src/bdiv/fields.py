@@ -7,12 +7,16 @@ Conventions used throughout the package:
 * divergence is the backward difference, gradient the forward difference;
   the pair is an exact adjoint (up to sign) both on periodic grids and on
   boxes with the zero-outside extension,
+* this module holds the only implementation of that stencil pair, in the
+  in-place form ``_*_into(..., out)``; the functions below allocate and call
+  it, and solver hot loops call it on preallocated buffers,
 * reductions go through ``np.sum`` (fixed pairwise tree), so results are
   bit-stable across runs.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -75,7 +79,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     def axis_centers(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
@@ -177,24 +181,58 @@ class RegionMask:
 # past the high edge.  This makes the pair exactly adjoint on boxes too.
 
 
-def backward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    out = np.empty_like(arr)
-    src = np.moveaxis(arr, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[1:] = src[1:] - src[:-1]
-    dst[0] = src[0] - (src[-1] if periodic else 0.0)
+def _backward_diff_into(
+    src: np.ndarray, axis: int, h: float, periodic: bool, out: np.ndarray
+) -> np.ndarray:
+    """out <- backward difference of src along axis, divided by h."""
+    a = np.moveaxis(src, axis, 0)
+    d = np.moveaxis(out, axis, 0)
+    np.subtract(a[1:], a[:-1], out=d[1:])
+    if periodic:  # edge slices, not a[0]: in 1-D that is a scalar out= rejects
+        np.subtract(a[:1], a[-1:], out=d[:1])
+    else:
+        d[0] = a[0]
     out /= h
     return out
+
+
+def _forward_diff_into(
+    src: np.ndarray, axis: int, h: float, periodic: bool, out: np.ndarray
+) -> np.ndarray:
+    """out <- forward difference of src along axis, divided by h."""
+    a = np.moveaxis(src, axis, 0)
+    d = np.moveaxis(out, axis, 0)
+    np.subtract(a[1:], a[:-1], out=d[:-1])
+    if periodic:
+        np.subtract(a[:1], a[-1:], out=d[-1:])
+    else:
+        np.negative(a[-1:], out=d[-1:])
+    out /= h
+    return out
+
+
+def _divergence_into(
+    v: np.ndarray, grid: Grid, out: np.ndarray, tmp: np.ndarray | None
+) -> None:
+    """out <- divergence of the stacked (d, ...) array v; tmp is scratch."""
+    _backward_diff_into(v[0], 0, grid.h[0], grid.periodic[0], out)
+    for a in range(1, grid.d):
+        _backward_diff_into(v[a], a, grid.h[a], grid.periodic[a], tmp)
+        out += tmp
+
+
+def _gradient_into(g: np.ndarray, grid: Grid, out: np.ndarray) -> None:
+    """out <- forward-difference gradient of g, stacked as (d, ...)."""
+    for a in range(grid.d):
+        _forward_diff_into(g, a, grid.h[a], grid.periodic[a], out[a])
+
+
+def backward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
+    return _backward_diff_into(arr, axis, h, periodic, np.empty_like(arr))
 
 
 def forward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    out = np.empty_like(arr)
-    src = np.moveaxis(arr, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[:-1] = src[1:] - src[:-1]
-    dst[-1] = (src[0] if periodic else 0.0) - src[-1]
-    out /= h
-    return out
+    return _forward_diff_into(arr, axis, h, periodic, np.empty_like(arr))
 
 
 def divergence_array(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -314,7 +352,7 @@ def read_field(path) -> ScalarField:
     mask = data[off]
     off += 1
     periodic = tuple(bool(mask >> a & 1) for a in range(d))
-    count = int(np.prod(n))
+    count = math.prod(n)
     if len(data) != off + 8 * count:
         raise ValueError(
             f"{path}: expected {8 * count} payload bytes, got {len(data) - off}"

@@ -136,56 +136,47 @@ def frechet_derivative(v: ScalarField, p: float) -> ScalarField:
     return ScalarField(v.grid, p * nrm ** (p - 2) * v.values)
 
 
+# tag -> (parameter parsers, evaluator taking (f, *params), parameters of the
+# bare tag).  Evaluators look the norm functions up when called, so a
+# rebinding of this module's names also reaches NormKind.  The label is the
+# tag followed by the parameters, so it parses back to the same kind.
+_KINDS = {
+    "lp": ((float,), lambda f, p: lp_norm(f, p), ()),
+    "lorentz": ((float, float), lambda f, p, q: lorentz_norm(f, p, q), ()),
+    "weak": ((float,), lambda f, p: weak_lp_setnorm(f, p), ()),
+    "morrey": ((), lambda f: morrey_norm(f), ()),
+    "tv": ((str,), lambda f, variant: tv_norm(f, variant), ("isotropic",)),
+    "linf": ((), lambda f: lp_norm(f, np.inf), ()),
+}
+
+
 @dataclass(frozen=True)
 class NormKind:
     """Tagged norm selector used by the CLI; see parse() for the syntax."""
 
     tag: str
-    p: float = 0.0
-    q: float = 0.0
-    variant: str = ""
-
-    _TAGS = ("lp", "lorentz", "weak", "morrey", "tv", "linf")
+    params: tuple = ()
 
     @classmethod
     def parse(cls, text: str) -> "NormKind":
-        """Parse specs like lp:2, lorentz:2:1, weak:2, morrey, tv:isotropic,
-        linf."""
-        parts = text.split(":")
-        tag = parts[0]
-        if tag not in cls._TAGS:
+        """Parse specs like lp:2, lorentz:2:1, weak:2, morrey, tv:isotropic
+        (tv alone is tv:isotropic), linf."""
+        tag, *given = text.split(":")
+        if tag not in _KINDS:
             raise ValueError(f"unknown norm kind {text!r}")
-        if tag == "lp":
-            return cls("lp", p=float(parts[1]))
-        if tag == "lorentz":
-            return cls("lorentz", p=float(parts[1]), q=float(parts[2]))
-        if tag == "weak":
-            return cls("weak", p=float(parts[1]))
-        if tag == "tv":
-            variant = parts[1] if len(parts) > 1 else "isotropic"
-            return cls("tv", variant=variant)
-        return cls(tag)
+        parsers, _, bare = _KINDS[tag]
+        given = tuple(given) or bare
+        if len(given) != len(parsers):
+            raise ValueError(
+                f"norm kind {tag!r} takes {len(parsers)} parameter(s), "
+                f"got {text!r}"
+            )
+        return cls(tag, tuple(conv(x) for conv, x in zip(parsers, given)))
 
     def evaluate(self, f: ScalarField) -> float:
-        if self.tag == "lp":
-            return lp_norm(f, self.p)
-        if self.tag == "lorentz":
-            return lorentz_norm(f, self.p, self.q)
-        if self.tag == "weak":
-            return weak_lp_setnorm(f, self.p)
-        if self.tag == "morrey":
-            return morrey_norm(f)
-        if self.tag == "tv":
-            return tv_norm(f, self.variant)
-        return lp_norm(f, np.inf)
+        return _KINDS[self.tag][1](f, *self.params)
 
     def label(self) -> str:
-        if self.tag == "lp":
-            return f"lp:{self.p:g}"
-        if self.tag == "lorentz":
-            return f"lorentz:{self.p:g}:{self.q:g}"
-        if self.tag == "weak":
-            return f"weak:{self.p:g}"
-        if self.tag == "tv":
-            return f"tv:{self.variant}"
-        return self.tag
+        return ":".join(
+            [self.tag] + [f"{x:g}" if isinstance(x, float) else x for x in self.params]
+        )

@@ -17,6 +17,7 @@ rescales the outputs, keeping all internal quantities at O(1) scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .fields import (
     Grid,
     ScalarField,
     VectorField,
+    _divergence_into,
+    _gradient_into,
     divergence_array,
 )
 from .norms import lp_norm, sup_norm_vector, tv_norm
@@ -78,7 +81,6 @@ class HierarchyConfig:
     lambda1: float | None = None
     max_levels: int = 20
     stop_residual: float = 1e-3
-    mode: str = "p2_geometric"
     gamma_assumed: float | None = None
     lam: float | None = None
     max_iters: int = 200_000
@@ -136,9 +138,9 @@ class _DualState:
     """Warm-startable projected-FISTA solve of min_{|w(x)|<=1}
     0.5 ||f - nu div w||^2 on unit-normalized data.
 
-    The inner loop works on preallocated buffers; div/grad are applied via
-    axis views with explicit out= arguments to keep the per-iteration
-    allocation churn off the hot path.
+    The inner loop works on preallocated buffers; div/grad are the in-place
+    stencils of ``fields``, which keep the per-iteration allocation churn
+    off the hot path.
     """
 
     def __init__(self, farr: np.ndarray, grid: Grid):
@@ -153,33 +155,6 @@ class _DualState:
         self._g = np.empty((grid.d,) + grid.n)
         self._mag = np.empty(grid.n)
 
-    def _div_into(self, w: np.ndarray, out: np.ndarray) -> None:
-        grid = self.grid
-        for axis in range(grid.d):
-            dst = out if axis == 0 else self._tmp
-            a = np.moveaxis(w[axis], axis, 0)
-            d = np.moveaxis(dst, axis, 0)
-            np.subtract(a[1:], a[:-1], out=d[1:])
-            if grid.periodic[axis]:
-                np.subtract(a[0], a[-1], out=d[0])
-            else:
-                d[0] = a[0]
-            dst /= grid.h[axis]
-            if axis > 0:
-                out += dst
-
-    def _grad_into(self, r: np.ndarray, out: np.ndarray) -> None:
-        grid = self.grid
-        for axis in range(grid.d):
-            a = np.moveaxis(r, axis, 0)
-            d = np.moveaxis(out[axis], axis, 0)
-            np.subtract(a[1:], a[:-1], out=d[:-1])
-            if grid.periodic[axis]:
-                np.subtract(a[0], a[-1], out=d[-1])
-            else:
-                np.negative(a[-1], out=d[-1])
-            out[axis] /= grid.h[axis]
-
     def _magnitude_into(self, g: np.ndarray, out: np.ndarray) -> None:
         if self.grid.d == 1:
             np.abs(g[0], out=out)
@@ -192,14 +167,14 @@ class _DualState:
             np.sqrt(out, out=out)
 
     def residual(self, nu: float) -> np.ndarray:
-        self._div_into(self.w, self._r)
+        _divergence_into(self.w, self.grid, self._r, self._tmp)
         self._r *= -nu
         self._r += self.farr
         return self._r.copy()
 
     def tv_and_gap(self, nu: float) -> tuple[float, float]:
         r = self.residual(nu)
-        self._grad_into(r, self._g)
+        _gradient_into(r, self.grid, self._g)
         self._magnitude_into(self._g, self._mag)
         tv = float(self._mag.sum()) * self.vol
         gap = nu * (tv + float(np.sum(self._g * self.w)) * self.vol)
@@ -218,20 +193,23 @@ class _DualState:
         Stops when the duality gap falls below gap_rel times the natural
         scale nu * max(TV(r), tv_ref); tv_ref keeps the threshold sane when
         the residual collapses past saturation.  Momentum restarts when the
-        gradient-mapping direction turns against the last step.
+        gradient-mapping direction turns against the last step.  With no
+        iterations allowed it only evaluates TV(r) of the current w.
         """
+        if max_iters <= 0:
+            return self.tv_and_gap(nu)[0]
         step = 1.0 / (nu * self.lips)  # descent step times nu folded in
         w = self.w.copy()
         wy = w.copy()
         w_new = np.empty_like(w)
-        r, g, mag = self._r, self._g, self._mag
+        r, g, mag, tmp, grid = self._r, self._g, self._mag, self._tmp, self.grid
         tmom = 1.0
         tv = np.inf
         for it in range(1, max_iters + 1):
-            self._div_into(wy, r)
+            _divergence_into(wy, grid, r, tmp)
             r *= -nu
             r += self.farr
-            self._grad_into(r, g)
+            _gradient_into(r, grid, g)
             np.multiply(g, -step, out=w_new)
             w_new += wy
             self._magnitude_into(w_new, mag)
@@ -316,16 +294,19 @@ def minimize_flambda(
             t_ref = max(t, t_floor)
         return tv - t, max(t, t_floor)
 
+    def budget() -> int:
+        return min(cfg.inner_iters, cfg.max_iters - state.total_iters)
+
     def probe(nu: float, gap_rel: float) -> tuple[float, float]:
         """Solve at nu; return (certificate defect, its scale).  The defect
         is positive while nu is below the root.  Solves cheaply first and
         continues to the requested tolerance only when the sign of the
-        defect is in doubt."""
-        tv = state.solve(nu, cfg.inner_iters, 1e-4, cfg.check_every, t_ref)
+        defect is in doubt.  No solve runs past cfg.max_iters."""
+        tv = state.solve(nu, budget(), 1e-4, cfg.check_every, t_ref)
         d, scale = defect_of(tv, nu)
-        if abs(d) > 0.25 * scale or saturated:
+        if abs(d) > 0.25 * scale or saturated or budget() <= 0:
             return d, scale
-        tv = state.solve(nu, cfg.inner_iters, gap_rel, cfg.check_every, t_ref)
+        tv = state.solve(nu, budget(), gap_rel, cfg.check_every, t_ref)
         return defect_of(tv, nu)
 
     # defect at nu = 0 is free: r = f
@@ -578,33 +559,26 @@ def estimate_eta(f: ScalarField, cfg: HierarchyConfig) -> float:
     return max(probe, _stripe_closure_witness(f.grid))
 
 
-def hierarchical_p2(
-    f: ScalarField, cfg: HierarchyConfig | None = None
-) -> tuple[VectorField, HierarchyTrace]:
-    """Doubling-lambda hierarchy: level j minimizes ||u||_inf + lam_j
-    ||r_{j-1} - div u||_2^2 with lam_j = lam_1 2^(j-1), lam_1 = 2 eta /
-    ||f||_2.  The residuals decay geometrically once the TV certificates
-    engage, and the partial sums stay uniformly bounded."""
-    if cfg is None:
-        cfg = HierarchyConfig()
+def _level_loop(
+    f: ScalarField,
+    cfg: HierarchyConfig,
+    trace: HierarchyTrace,
+    p: int,
+    lam_of: Callable[[int], float],
+    stalls: Callable[[float], bool],
+) -> tuple[VectorField, bool]:
+    """The telescoping loop of both hierarchies: level j minimizes with
+    exponent p and lam_of(j) on r_{j-1} (r_0 = f) and records itself in
+    trace; stops at ||r_j|| <= stop_residual ||f||, or returns stalled after
+    three consecutive levels whose residual ratio stalls() flags."""
     grid = f.grid
-    fnorm = lp_norm(f, 2)
-    trace = HierarchyTrace(f_norm=fnorm, eta_used=cfg.eta)
-    if fnorm == 0.0:
-        return VectorField.zeros(grid), trace
-
-    eta = cfg.eta if cfg.eta is not None else estimate_eta(f, cfg)
-    trace.eta_used = eta
-    lam1 = cfg.lambda1 if cfg.lambda1 is not None else 2.0 * eta / fnorm
-
     total = np.zeros((grid.d,) + grid.n)
-    r_prev = f
-    prev_norm = fnorm
-    stagnant = 0
+    r_prev, prev_norm = f, trace.f_norm
+    stalled = 0
     for j in range(1, cfg.max_levels + 1):
-        lam_j = lam1 * 2.0 ** (j - 1)
+        lam_j = lam_of(j)
         sub = VariationalConfig(
-            lam=lam_j, p=2, max_iters=cfg.max_iters, tol_residual=cfg.tol_residual
+            lam=lam_j, p=p, max_iters=cfg.max_iters, tol_residual=cfg.tol_residual
         )
         u_j, r_j, rep = minimize_flambda(r_prev, sub)
         total += u_j.as_array()
@@ -621,14 +595,37 @@ def hierarchical_p2(
                 ratio=ratio,
             )
         )
-        stagnant = stagnant + 1 if ratio > 0.95 else 0
-        if stagnant >= 3:
-            trace.stagnated = True
-            break
+        stalled = stalled + 1 if stalls(ratio) else 0
+        if stalled >= 3:
+            return VectorField.from_arrays(grid, list(total)), True
         r_prev, prev_norm = r_j, r_norm
-        if r_norm <= cfg.stop_residual * fnorm:
+        if r_norm <= cfg.stop_residual * trace.f_norm:
             break
-    return VectorField.from_arrays(grid, list(total)), trace
+    return VectorField.from_arrays(grid, list(total)), False
+
+
+def hierarchical_p2(
+    f: ScalarField, cfg: HierarchyConfig | None = None
+) -> tuple[VectorField, HierarchyTrace]:
+    """Doubling-lambda hierarchy: level j minimizes ||u||_inf + lam_j
+    ||r_{j-1} - div u||_2^2 with lam_j = lam_1 2^(j-1), lam_1 = 2 eta /
+    ||f||_2.  The residuals decay geometrically once the TV certificates
+    engage, and the partial sums stay uniformly bounded."""
+    if cfg is None:
+        cfg = HierarchyConfig()
+    fnorm = lp_norm(f, 2)
+    trace = HierarchyTrace(f_norm=fnorm, eta_used=cfg.eta)
+    if fnorm == 0.0:
+        return VectorField.zeros(f.grid), trace
+
+    eta = cfg.eta if cfg.eta is not None else estimate_eta(f, cfg)
+    trace.eta_used = eta
+    lam1 = cfg.lambda1 if cfg.lambda1 is not None else 2.0 * eta / fnorm
+
+    u, trace.stagnated = _level_loop(
+        f, cfg, trace, 2, lambda j: lam1 * 2.0 ** (j - 1), lambda q: q > 0.95
+    )
+    return u, trace
 
 
 def hierarchical_p1(
@@ -638,7 +635,7 @@ def hierarchical_p1(
     residual by roughly gamma/lambda when lambda exceeds the constant gamma
     of the bounded-solution bound."""
     if cfg is None:
-        cfg = HierarchyConfig(mode="p1_contraction")
+        cfg = HierarchyConfig()
     grid = f.grid
     fnorm = lp_norm(f, 2)
     trace = HierarchyTrace(f_norm=fnorm, eta_used=None)
@@ -656,34 +653,7 @@ def hierarchical_p1(
         gamma = sup_norm_vector(probe) / fnorm
     lam = cfg.lam if cfg.lam is not None else 4.0 * gamma
 
-    total = np.zeros((grid.d,) + grid.n)
-    r_prev = f
-    prev_norm = fnorm
-    bad = 0
-    for j in range(1, cfg.max_levels + 1):
-        sub = VariationalConfig(
-            lam=lam, p=1, max_iters=cfg.max_iters, tol_residual=cfg.tol_residual
-        )
-        u_j, r_j, rep = minimize_flambda(r_prev, sub)
-        total += u_j.as_array()
-        r_norm = lp_norm(r_j, 2)
-        ratio = r_norm / prev_norm if prev_norm > 0 else 0.0
-        trace.levels.append(
-            LevelRecord(
-                level=j,
-                lam=lam,
-                u_sup=rep.u_sup,
-                r_norm=r_norm,
-                r_tv=tv_norm(r_j, "isotropic"),
-                cumulative_sup=float(np.sqrt((total * total).sum(axis=0).max())),
-                ratio=ratio,
-            )
-        )
-        bad = bad + 1 if ratio >= 1.0 else 0
-        if bad >= 3:
-            trace.lambda_too_small = True
-            break
-        r_prev, prev_norm = r_j, r_norm
-        if r_norm <= cfg.stop_residual * fnorm:
-            break
-    return VectorField.from_arrays(grid, list(total)), trace
+    u, trace.lambda_too_small = _level_loop(
+        f, cfg, trace, 1, lambda j: lam, lambda q: q >= 1.0
+    )
+    return u, trace

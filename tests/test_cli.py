@@ -130,6 +130,16 @@ def test_norms_command_matches_library(tmp_path, capsys):
     )
 
 
+def test_norms_bad_kinds_usage_error(tmp_path, capsys):
+    data = tmp_path / "f.bdiv"
+    run(["gen", "--kind", "random", "--n", "10", "--seed", "1",
+         "--out", str(data)])
+    for kinds in ("lp", "lorentz:2", "bogus", "lp:2,bogus"):
+        with pytest.raises(SystemExit) as exc:
+            run(["norms", "--input", str(data), "--kinds", kinds])
+        assert exc.value.code == 2
+
+
 def test_bench_empty_grid_list(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert run(["bench", "table1", "--grids", "", "--out", str(out)]) == 0

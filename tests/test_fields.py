@@ -25,6 +25,15 @@ from bdiv.fields import (
 from oracles import loop_prefix_integral, stencil_divergence
 
 
+# (n, lo, hi) for d = 1, 2, 3; the last two have anisotropic spacing
+STENCIL_GRIDS = [
+    ((3, 3), 0.0, 1.0),
+    ((7,), -1.0, 2.0),
+    ((6, 5), -1.0, (1.0, 2.0)),
+    ((4, 3, 5), (0.0, -1.0, 0.0), (1.0, 2.0, 0.25)),
+]
+
+
 def rand_field(grid, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return ScalarField(grid, scale * rng.standard_normal(grid.n))
@@ -72,13 +81,15 @@ class TestDivergence:
         assert np.allclose(div[0, :], v1[0, 0] / g.h[0])
 
     def test_matches_stencil_oracle(self):
-        for periodic in (False, True):
-            g = Grid((3, 3), 0.0, 1.0, periodic=periodic)
-            rng = np.random.default_rng(3)
-            comps = [rng.standard_normal(g.n) for _ in range(2)]
-            v = VectorField.from_arrays(g, comps)
-            expect = stencil_divergence(comps, g.h, g.periodic)
-            assert np.allclose(discrete_divergence(v).values, expect, atol=1e-14)
+        for n, lo, hi in STENCIL_GRIDS:
+            d = len(n)
+            for periodic in (False, True, (True,) + (False,) * (d - 1)):
+                g = Grid(n, lo, hi, periodic=periodic)
+                rng = np.random.default_rng(3)
+                comps = [rng.standard_normal(g.n) for _ in range(d)]
+                v = VectorField.from_arrays(g, comps)
+                expect = stencil_divergence(comps, g.h, g.periodic)
+                assert np.allclose(discrete_divergence(v).values, expect, atol=1e-14)
 
     def test_component_grid_mismatch_rejected(self):
         a = ScalarField(Grid((4, 4), 0.0, 1.0), np.zeros((4, 4)))
@@ -191,6 +202,19 @@ class TestFieldFiles:
         with pytest.raises(ValueError):
             read_field(path)
 
+    def test_oversized_header_rejected(self, tmp_path):
+        # 2^22 * 2^22 * 2^20 cells wraps to 0 in int64; must not pass as an
+        # empty payload
+        payload = b"BDIV1" + struct.pack("<B", 3)
+        payload += struct.pack("<3I", 2**22, 2**22, 2**20)
+        payload += struct.pack("<3d", 0.0, 0.0, 0.0)
+        payload += struct.pack("<3d", 1.0, 1.0, 1.0)
+        payload += struct.pack("<B", 0)
+        path = tmp_path / "huge.bdiv"
+        path.write_bytes(payload)
+        with pytest.raises(ValueError, match="payload bytes"):
+            read_field(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bdiv"
         path.write_bytes(b"NOPE!" + bytes(64))
@@ -214,15 +238,21 @@ class TestFieldFiles:
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 10_000), periodic=st.booleans())
+@given(
+    seed=st.integers(0, 10_000),
+    periodic=st.lists(st.booleans(), min_size=3, max_size=3),
+)
 def test_divergence_gradient_adjoint(seed, periodic):
-    g = Grid((6, 5), -1.0, (1.0, 2.0), periodic=periodic)
-    rng = np.random.default_rng(seed)
-    scal = ScalarField(g, rng.standard_normal(g.n))
-    vec = VectorField.from_arrays(g, [rng.standard_normal(g.n) for _ in range(2)])
-    lhs = inner(scal, discrete_divergence(vec))
-    rhs = -inner_vector(forward_gradient(scal), vec)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    for n, lo, hi in STENCIL_GRIDS:
+        g = Grid(n, lo, hi, periodic=periodic[: len(n)])
+        rng = np.random.default_rng(seed)
+        scal = ScalarField(g, rng.standard_normal(g.n))
+        vec = VectorField.from_arrays(
+            g, [rng.standard_normal(g.n) for _ in range(g.d)]
+        )
+        lhs = inner(scal, discrete_divergence(vec))
+        rhs = -inner_vector(forward_gradient(scal), vec)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_primitive_then_divergence_recovers_field():

@@ -294,8 +294,9 @@ class TestNormKind:
         assert NormKind.parse("linf").evaluate(f) == lp_norm(f, np.inf)
 
     def test_parse_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            NormKind.parse("sobolev:1")
+        for spec in ("sobolev:1", "bogus", "lp", "lorentz:2"):
+            with pytest.raises(ValueError):
+                NormKind.parse(spec)
 
 
 class TestSetNormSlopes:

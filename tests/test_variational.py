@@ -176,6 +176,27 @@ class TestMinimize:
         div = discrete_divergence(u)
         assert np.abs(div.values + r.values - f.values).max() <= 1e-12
 
+    def test_one_dimensional_torus(self):
+        f = mean_zero(random_field(3, 16, d=1, periodic=True))
+        u, r, rep = minimize_flambda(f, VariationalConfig(lam=50.0))
+        assert rep.converged and not rep.trivial
+        div = discrete_divergence(u)
+        assert np.abs(div.values + r.values - f.values).max() <= 1e-12
+
+    def test_iteration_budget_is_a_hard_cap(self):
+        for p in (2, 1):
+            f = torus_field(seed=11)
+            lam = 30.0 / (2.0 * tv_norm(f, "isotropic"))
+            if p == 1:
+                lam = 1.5 * lp_norm(f, 2) / tv_norm(f, "isotropic")
+            cfg = VariationalConfig(lam=lam, p=p, max_iters=120, check_every=50)
+            u, r, rep = minimize_flambda(f, cfg)
+            assert not rep.trivial
+            assert rep.iterations <= cfg.max_iters
+            assert rep.objective <= lam * lp_norm(f, 2) ** p * (1 + 1e-12)
+            div = discrete_divergence(u)
+            assert np.abs(div.values + r.values - f.values).max() <= 1e-12
+
 
 class TestTwoStep:
     def test_zero(self):
@@ -265,16 +286,14 @@ class TestHierarchicalP1:
 
     def test_contraction_at_safe_lambda(self):
         f = torus_field(n=16, seed=14)
-        u, trace = hierarchical_p1(f, HierarchyConfig(mode="p1_contraction"))
+        u, trace = hierarchical_p1(f, HierarchyConfig())
         assert not trace.lambda_too_small
         assert all(rec.ratio < 1.0 for rec in trace.levels)
         assert trace.levels[-1].r_norm <= 1e-3 * lp_norm(f, 2)
 
     def test_ball_residuals_strictly_decrease(self):
         f = ball_field(4.0, 1.0, 32)
-        cfg = HierarchyConfig(
-            mode="p1_contraction", gamma_assumed=1.0, max_levels=6
-        )
+        cfg = HierarchyConfig(gamma_assumed=1.0, max_levels=6)
         u, trace = hierarchical_p1(f, cfg)
         norms_seq = [lp_norm(f, 2)] + [rec.r_norm for rec in trace.levels]
         assert all(b < a for a, b in zip(norms_seq, norms_seq[1:]))
@@ -286,10 +305,7 @@ class TestHierarchicalP1:
         # whole chain stays under the same per-level rate
         gamma = sup_norm_vector(helmholtz_solve(f)) / fn
         for lam in (2.0 * gamma, 1.5 * gamma, 1.2 * gamma):
-            cfg = HierarchyConfig(
-                mode="p1_contraction", gamma_assumed=gamma, lam=lam,
-                max_levels=8,
-            )
+            cfg = HierarchyConfig(gamma_assumed=gamma, lam=lam, max_levels=8)
             u, trace = hierarchical_p1(f, cfg)
             first = trace.levels[0].ratio
             if 0.2 <= first <= 0.58:
@@ -300,13 +316,11 @@ class TestHierarchicalP1:
 
     def test_tiny_lambda_flags(self):
         f = torus_field(n=12, seed=16)
-        cfg = HierarchyConfig(
-            mode="p1_contraction", gamma_assumed=1e-4, max_levels=8
-        )
+        cfg = HierarchyConfig(gamma_assumed=1e-4, max_levels=8)
         u, trace = hierarchical_p1(f, cfg)
         assert trace.lambda_too_small
 
     def test_nonperiodic_needs_gamma(self):
         f = random_field(17, 12)
         with pytest.raises(ValueError):
-            hierarchical_p1(f, HierarchyConfig(mode="p1_contraction"))
+            hierarchical_p1(f, HierarchyConfig())

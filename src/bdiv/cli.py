@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -40,12 +41,34 @@ class RunManifest:
     wall_time_s: float = 0.0
     version: str = __version__
 
+    @classmethod
+    def of(cls, args: argparse.Namespace) -> "RunManifest":
+        """Manifest of a parsed command: the argv main() parsed and the
+        options it produced."""
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
+        return cls(command=list(args.argv), config=config)
+
     def digest(self, path, kind: str) -> None:
-        h = hashlib.sha256()
         with open(path, "rb") as fh:
-            h.update(fh.read())
-        target = self.inputs if kind == "in" else self.outputs
-        target[str(path)] = h.hexdigest()
+            sha = hashlib.sha256(fh.read()).hexdigest()
+        (self.inputs if kind == "in" else self.outputs)[str(path)] = sha
+
+    def write(self, path: str, content) -> None:
+        """Write a field file (a ScalarField) or a CSV table (a (header,
+        rows) pair) and digest it as an output."""
+        if isinstance(content, fields.ScalarField):
+            fields.write_field(content, path)
+        else:
+            header, rows = content
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        self.digest(path, "out")
+
+    def finish(self, t0: float) -> dict:
+        self.wall_time_s = time.time() - t0
+        return asdict(self)
 
 
 def _emit_report(report: dict, path: str | None) -> None:
@@ -62,25 +85,9 @@ def _emit_report(report: dict, path: str | None) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     t0 = time.time()
-    manifest = RunManifest(
-        command=sys.argv[1:],
-        config={k: v for k, v in vars(args).items() if k != "func"},
-    )
-    spec = examples.ExampleSpec(
-        kind=args.kind,
-        n=args.n,
-        alpha=args.alpha,
-        radius=args.radius,
-        half_width=args.half_width,
-        p=args.p,
-        levels=args.levels,
-        seed=args.seed,
-        law=args.law,
-        spikes=args.spikes,
-        amplitude=args.amplitude,
-        d=args.d,
-        periodic=args.periodic,
-    )
+    manifest = RunManifest.of(args)
+    params = dataclasses.fields(examples.ExampleSpec)
+    spec = examples.ExampleSpec(**{p.name: getattr(args, p.name) for p in params})
     if args.kind == "tatar":
         if not args.out2:
             print("gen --kind tatar needs --out2 for the direction field",
@@ -94,49 +101,129 @@ def cmd_gen(args: argparse.Namespace) -> int:
             generated = fields.mean_zero(generated)
         out_fields = {args.out: generated}
     for path, f in out_fields.items():
-        fields.write_field(f, path)
-        manifest.digest(path, "out")
-    manifest.wall_time_s = time.time() - t0
-    _emit_report({"manifest": asdict(manifest)}, args.report)
+        manifest.write(path, f)
+    _emit_report({"manifest": manifest.finish(t0)}, args.report)
     return EXIT_OK
 
 
 # -- solve ---------------------------------------------------------------------
 
 
-def _write_vector(u, prefix: str, manifest: RunManifest) -> list[str]:
-    paths = []
-    for i, comp in enumerate(u.components, start=1):
-        path = f"{prefix}_u{i}.bdiv"
-        fields.write_field(comp, path)
-        manifest.digest(path, "out")
-        paths.append(path)
-    return paths
+@dataclass
+class Solution:
+    """What one `bdiv solve` method produced.
+
+    files maps a suffix to a field (PREFIX_suffix.bdiv) or to a CSV table
+    (PREFIX_suffix.csv) of a header and rows, which may be a generator.
+    residual is the r = f - div u the method claims: None for an exact
+    solve, the returned residual field, or the last hierarchy level's L2 norm.
+    """
+
+    u: fields.VectorField
+    report: dict = field(default_factory=dict)
+    files: dict = field(default_factory=dict)
+    certificates: list | None = None
+    residual: fields.ScalarField | float | None = None
+    converged: bool = True
 
 
-def _write_certs(certs, path: str, manifest: RunManifest) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "index", "value", "bound"])
-        for c in certs:
-            writer.writerow([c.axis, c.index, repr(c.value), repr(c.bound)])
-    manifest.digest(path, "out")
+def _split(result: explicit.SplitResult, **kw) -> Solution:
+    """Solution of an explicit splitting: its parts and line certificates."""
+    files = {f"f{j}": part for j, part in enumerate(result.parts, start=1)}
+    files["certs"] = (
+        ["axis", "index", "value", "bound"],
+        ([c.axis, c.index, repr(c.value), repr(c.bound)] for c in result.certificates),
+    )
+    return Solution(result.u, files=files, certificates=result.certificates, **kw)
 
 
-def _verification_block(f, u, certs=None) -> dict:
-    div = fields.discrete_divergence(u)
-    resid = np.abs(div.values - f.values).max()
+def _solve_weakl2(f, args) -> Solution:
+    result, trace = explicit.decompose_weak_l2(f, args.tau, max_iter=args.max_iter)
+    strips = dict(measures=trace.measures(), incomplete=trace.incomplete, tau=trace.tau)
+    return _split(result, report={"strip_trace": strips},
+                  converged=not trace.incomplete)
+
+
+def _solve_twostep(f, args) -> Solution:
+    u, rep = variational.two_step(f)
+    ratio = norms.sup_norm_vector(u) / norms.lp_norm(f, 2)
+    return Solution(u, report={"solver": asdict(rep), "ratio_sup_to_l2": ratio},
+                    converged=rep.converged)
+
+
+def _solve_minimize(f, args) -> Solution:
+    cfg = variational.VariationalConfig(lam=args.lam, p=args.p)
+    u, r, rep = variational.minimize_flambda(f, cfg)
+    return Solution(u, report={"solver": asdict(rep)}, files={"r": r},
+                    residual=r, converged=rep.converged)
+
+
+def _solve_hierarchy(run, f, args, lam) -> Solution:
+    cfg = variational.HierarchyConfig(
+        eta=args.eta, lambda1=args.lambda1, max_levels=args.levels,
+        gamma_assumed=args.gamma, lam=lam,
+    )
+    u, trace = run(f, cfg)
+    report = {"trace": dict(asdict(trace), eta_measured=trace.eta_measured)}
+    levels = report["trace"]["levels"]
+    r_last = levels[-1]["r_norm"] if levels else trace.f_norm
+    report["residual_rel"] = r_last / trace.f_norm if levels else 0.0
+    columns = [c.name for c in dataclasses.fields(variational.LevelRecord)]
+    table = (columns, ([repr(v) for v in rec.values()] for rec in levels))
+    return Solution(u, report=report, files={"trace": table}, residual=r_last,
+                    converged=not (trace.stagnated or trace.lambda_too_small))
+
+
+def _solve_helmholtz(f, args) -> Solution:
+    u = variational.helmholtz_solve(f, mode=args.mode, strict_mean=False)
+    return Solution(u, report={"mode": args.mode})
+
+
+# method name -> (f, args) -> Solution.  Entries look the solvers up when
+# called, so a rebinding of the modules' names also reaches the CLI.
+METHODS = {
+    "onestep2d": lambda f, a: _split(explicit.split_onestep_2d(f)),
+    "disjoint2d": lambda f, a: _split(explicit.split_disjoint_2d(f)),
+    "inductive": lambda f, a: _split(explicit.split_inductive_nd(f)),
+    "weakl2": _solve_weakl2,
+    "helmholtz": _solve_helmholtz,
+    "twostep": _solve_twostep,
+    "minimize": _solve_minimize,
+    "hier-p2": lambda f, a: _solve_hierarchy(variational.hierarchical_p2, f, a, None),
+    "hier-p1": lambda f, a: _solve_hierarchy(variational.hierarchical_p1, f, a, a.lam),
+}
+
+
+def _verification_block(f, sol: Solution) -> dict:
+    """Recompute r = f - div u from u and hold it to the method's claim.
+
+    A claimed zero or residual field must match in sup norm to
+    1e-10 max(|f|_inf, 1); a claimed L2 norm must match to 1e-10 ||f||_2.
+    Every certificate must hold.
+    """
+    r = f.values - fields.discrete_divergence(sol.u).values
+    resid = np.abs(r).max()
     scale = max(np.abs(f.values).max(), 1.0)
+    claim = sol.residual
+    if claim is None:
+        miss, tol = resid, 1e-10 * scale
+    elif isinstance(claim, fields.ScalarField):
+        miss, tol = np.abs(r - claim.values).max(), 1e-10 * scale
+    else:
+        miss = abs(norms.lp_norm(fields.ScalarField(f.grid, r), 2) - claim)
+        tol = 1e-10 * norms.lp_norm(f, 2)
     block = {
         "div_residual_sup": float(resid),
         "div_residual_rel": float(resid / scale),
-        "component_sup_norms": list(norms.component_sup_norms(u)),
-        "vector_sup_norm": norms.sup_norm_vector(u),
-        "ok": bool(resid <= 1e-10 * scale),
+        "component_sup_norms": list(norms.component_sup_norms(sol.u)),
+        "vector_sup_norm": norms.sup_norm_vector(sol.u),
+        "ok": bool(miss <= tol),
     }
-    if certs is not None:
-        bad = [c for c in certs if not c.satisfied]
-        block["certificates_total"] = len(certs)
+    if claim is not None:
+        block["residual_claim_miss"] = float(miss)
+    if sol.certificates is not None:
+        bad = [c for c in sol.certificates if not c.satisfied]
+        block["certificates_total"] = len(sol.certificates)
         block["certificates_failed"] = len(bad)
         block["ok"] = block["ok"] and not bad
     return block
@@ -144,117 +231,21 @@ def _verification_block(f, u, certs=None) -> dict:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.time()
-    manifest = RunManifest(
-        command=sys.argv[1:],
-        config={k: v for k, v in vars(args).items() if k != "func"},
-    )
+    manifest = RunManifest.of(args)
     f = fields.read_field(args.input)
     manifest.digest(args.input, "in")
-    report: dict = {"method": args.method}
-    certs = None
-    converged = True
-
-    if args.method in ("onestep2d", "disjoint2d", "inductive", "weakl2"):
-        if args.method == "onestep2d":
-            result = explicit.split_onestep_2d(f)
-        elif args.method == "disjoint2d":
-            result = explicit.split_disjoint_2d(f)
-        elif args.method == "inductive":
-            result = explicit.split_inductive_nd(f)
-        else:
-            result, trace = explicit.decompose_weak_l2(
-                f, args.tau, max_iter=args.max_iter
-            )
-            report["strip_trace"] = {
-                "measures": trace.measures(),
-                "incomplete": trace.incomplete,
-                "tau": trace.tau,
-            }
-            converged = not trace.incomplete
-        u = result.u
-        certs = result.certificates
-        for j, part in enumerate(result.parts, start=1):
-            path = f"{args.out_prefix}_f{j}.bdiv"
-            fields.write_field(part, path)
-            manifest.digest(path, "out")
-    elif args.method == "helmholtz":
-        u = variational.helmholtz_solve(f, mode=args.mode, strict_mean=False)
-        report["mode"] = args.mode
-    elif args.method == "twostep":
-        u, solver_report = variational.two_step(f)
-        report["solver"] = asdict(solver_report)
-        report["ratio_sup_to_l2"] = norms.sup_norm_vector(u) / norms.lp_norm(f, 2)
-        converged = solver_report.converged
-    elif args.method == "minimize":
-        cfg = variational.VariationalConfig(lam=args.lam, p=args.p)
-        u, r, solver_report = variational.minimize_flambda(f, cfg)
-        path = f"{args.out_prefix}_r.bdiv"
-        fields.write_field(r, path)
-        manifest.digest(path, "out")
-        report["solver"] = asdict(solver_report)
-        converged = solver_report.converged
-    elif args.method in ("hier-p2", "hier-p1"):
-        cfg = variational.HierarchyConfig(
-            eta=args.eta,
-            lambda1=args.lambda1,
-            max_levels=args.levels,
-            gamma_assumed=args.gamma,
-            lam=args.lam if args.method == "hier-p1" else None,
-        )
-        run = (
-            variational.hierarchical_p2
-            if args.method == "hier-p2"
-            else variational.hierarchical_p1
-        )
-        u, trace = run(f, cfg)
-        report["trace"] = {
-            "f_norm": trace.f_norm,
-            "eta_used": trace.eta_used,
-            "eta_measured": trace.eta_measured,
-            "stagnated": trace.stagnated,
-            "lambda_too_small": trace.lambda_too_small,
-            "levels": [asdict(rec) for rec in trace.levels],
-        }
-        trace_path = f"{args.out_prefix}_trace.csv"
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["level", "lam", "u_sup", "r_norm", "r_tv",
-                 "cumulative_sup", "ratio"]
-            )
-            for rec in trace.levels:
-                writer.writerow(
-                    [rec.level, repr(rec.lam), repr(rec.u_sup),
-                     repr(rec.r_norm), repr(rec.r_tv),
-                     repr(rec.cumulative_sup), repr(rec.ratio)]
-                )
-        manifest.digest(trace_path, "out")
-        converged = not (trace.stagnated or trace.lambda_too_small)
-        report["residual_rel"] = (
-            trace.levels[-1].r_norm / trace.f_norm if trace.levels else 0.0
-        )
-    else:
-        print(f"unknown method {args.method!r}", file=sys.stderr)
-        return EXIT_USAGE
-
-    _write_vector(u, args.out_prefix, manifest)
-    if certs is not None:
-        _write_certs(certs, f"{args.out_prefix}_certs.csv", manifest)
-
-    if args.method in ("helmholtz", "twostep"):
-        verification = _verification_block(f, u)
-    elif args.method in ("minimize", "hier-p2", "hier-p1"):
-        verification = {"component_sup_norms": list(norms.component_sup_norms(u)),
-                        "vector_sup_norm": norms.sup_norm_vector(u), "ok": True}
-    else:
-        verification = _verification_block(f, u, certs)
-    report["verification"] = verification
-    manifest.wall_time_s = time.time() - t0
-    report["manifest"] = asdict(manifest)
+    sol = METHODS[args.method](f, args)
+    comps = {f"u{i}": c for i, c in enumerate(sol.u.components, start=1)}
+    for suffix, content in {**comps, **sol.files}.items():
+        ext = "bdiv" if isinstance(content, fields.ScalarField) else "csv"
+        manifest.write(f"{args.out_prefix}_{suffix}.{ext}", content)
+    verification = _verification_block(f, sol)
+    report = {"method": args.method, **sol.report, "verification": verification}
+    report["manifest"] = manifest.finish(t0)
     _emit_report(report, args.report)
     if not verification["ok"]:
         return EXIT_INVARIANT
-    if not converged:
+    if not sol.converged:
         return EXIT_NOCONV
     return EXIT_OK
 
@@ -388,15 +379,11 @@ def _check_norms(seed: int) -> list[tuple[str, bool, str]]:
 def _check_explicit(seed: int) -> list[tuple[str, bool, str]]:
     out = []
     f = examples.random_field(seed, 12, law="gaussian")
-    res = explicit.split_onestep_2d(f)
-    div = fields.discrete_divergence(res.u)
-    ok_div = float(np.abs(div.values - f.values).max()) <= 1e-10 * max(
-        1.0, float(np.abs(f.values).max())
-    )
+    block = _verification_block(f, _split(explicit.split_onestep_2d(f)))
+    comp = block["component_sup_norms"]
     bound = norms.lp_norm(f, 2) * (1 + 1e-10)
-    comp = norms.component_sup_norms(res.u)
-    out.append(("onestep2d", ok_div and all(c <= bound for c in comp),
-                f"div ok={ok_div} comps={comp}"))
+    out.append(("onestep2d", block["ok"] and all(c <= bound for c in comp),
+                f"verification ok={block['ok']} comps={comp}"))
     res2, trace = explicit.decompose_weak_l2(
         examples.random_field(seed + 1, 16, law="spikes"), tau=2.0
     )
@@ -530,10 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("solve", help="construct a bounded solution")
-    s.add_argument("--method", required=True,
-                   choices=["onestep2d", "disjoint2d", "inductive", "weakl2",
-                            "helmholtz", "twostep", "minimize", "hier-p2",
-                            "hier-p1"])
+    s.add_argument("--method", required=True, choices=list(METHODS))
     s.add_argument("--input", required=True)
     s.add_argument("--out-prefix", required=True)
     s.add_argument("--tau", type=float, default=2.0)
@@ -571,7 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

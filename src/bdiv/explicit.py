@@ -119,6 +119,15 @@ def _assemble_2d(
     return parts, u, certs
 
 
+def _line_norms(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """V(x) and H(y): the L2 norms of f along each column and each row."""
+    f2 = f.values * f.values
+    return (
+        np.sqrt(np.sum(f2, axis=1) * f.grid.h[1]),
+        np.sqrt(np.sum(f2, axis=0) * f.grid.h[0]),
+    )
+
+
 def split_onestep_2d(f: ScalarField) -> SplitResult:
     """Weighted one-step splitting for L2 data on a 2-D box.
 
@@ -127,11 +136,8 @@ def split_onestep_2d(f: ScalarField) -> SplitResult:
     by ||f||_2, with the Cauchy-Schwarz chain exact on the grid.
     """
     _require_box(f, 2)
-    grid = f.grid
     fa = f.values
-    f2 = fa * fa
-    v_line = np.sqrt(np.sum(f2, axis=1) * grid.h[1])  # V(x), per column
-    h_line = np.sqrt(np.sum(f2, axis=0) * grid.h[0])  # H(y), per row
+    v_line, h_line = _line_norms(f)
     denom = v_line[:, None] + h_line[None, :]
     safe = np.where(denom > 0.0, denom, 1.0)
     alpha = np.where(denom > 0.0, v_line[:, None] / safe, 0.0)
@@ -149,17 +155,14 @@ def split_disjoint_2d(f: ScalarField) -> SplitResult:
     """Disjoint-support variant: f1 = f on {H(y) <= V(x)}, f2 on the
     complement; same per-component bound ||f||_2."""
     _require_box(f, 2)
-    grid = f.grid
     fa = f.values
-    f2 = fa * fa
-    v_line = np.sqrt(np.sum(f2, axis=1) * grid.h[1])
-    h_line = np.sqrt(np.sum(f2, axis=0) * grid.h[0])
+    v_line, h_line = _line_norms(f)
     sel1 = h_line[None, :] <= v_line[:, None]
     f1 = np.where(sel1, fa, 0.0)
     f2part = fa - f1
     bound = lp_norm(f, 2)
     parts, u, certs = _assemble_2d(f, [f1, f2part], bound)
-    masks = [RegionMask(grid, sel1), RegionMask(grid, ~sel1)]
+    masks = [RegionMask(f.grid, sel1), RegionMask(f.grid, ~sel1)]
     return SplitResult(parts=parts, masks=masks, u=u, certificates=certs)
 
 

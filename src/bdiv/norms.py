@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, VectorField, gradient_array
+from .fields import Grid, ScalarField, VectorField, gradient_array
 
 
 def lp_norm(f: ScalarField, p: float) -> float:
     """(sum |f|^p * cellvol)^(1/p); max |f| for p = inf."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     a = np.abs(f.values)
     if np.isinf(p):
@@ -29,10 +29,14 @@ def lp_norm(f: ScalarField, p: float) -> float:
     return float((np.sum(a**p) * f.grid.cell_volume) ** (1.0 / p))
 
 
+def sup_magnitude(arr: np.ndarray) -> float:
+    """Max over cells of the l2 magnitude of arr, components on axis 0."""
+    return float(np.sqrt((arr * arr).sum(axis=0).max()))
+
+
 def sup_norm_vector(v: VectorField) -> float:
     """Max over cells of the pointwise l2 magnitude of the vector."""
-    arr = v.as_array()
-    return float(np.sqrt((arr * arr).sum(axis=0).max()))
+    return sup_magnitude(v.as_array())
 
 
 def component_sup_norms(v: VectorField) -> tuple[float, ...]:
@@ -56,7 +60,8 @@ def lorentz_norm(f: ScalarField, p: float, q: float) -> float:
     if not (1 <= p < np.inf):
         raise ValueError(f"need 1 <= p < inf, got p={p}")
     if not (1 <= q < np.inf):
-        raise ValueError("q = inf is not a Lorentz integral; use weak_lp_setnorm")
+        weak = "q = inf is not a Lorentz integral; use weak_lp_setnorm"
+        raise ValueError(weak if q == np.inf else f"need 1 <= q < inf, got q={q}")
     a = _sorted_abs(f)
     v = f.grid.cell_volume
     k = np.arange(1, a.size + 1, dtype=np.float64)
@@ -72,7 +77,7 @@ def weak_lp_setnorm(f: ScalarField, p: float) -> float:
     integrand is |f|, so the supremum is the max over k of the k largest
     magnitudes; this is the equivalent weak-Lp norm the bounds use.
     """
-    if p <= 1:
+    if not p > 1:
         raise ValueError(f"need p > 1, got {p}")
     a = _sorted_abs(f)
     if a.size == 0 or a[0] == 0.0:
@@ -149,6 +154,9 @@ _KINDS = {
     "linf": ((), lambda f: lp_norm(f, np.inf), ()),
 }
 
+# the fixed two-cell field NormKind.parse evaluates every parsed kind on
+_PROBE = ScalarField(Grid((2,), 0.0, 1.0), np.array([1.0, 0.5]))
+
 
 @dataclass(frozen=True)
 class NormKind:
@@ -171,7 +179,9 @@ class NormKind:
                 f"norm kind {tag!r} takes {len(parsers)} parameter(s), "
                 f"got {text!r}"
             )
-        return cls(tag, tuple(conv(x) for conv, x in zip(parsers, given)))
+        kind = cls(tag, tuple(conv(x) for conv, x in zip(parsers, given)))
+        kind.evaluate(_PROBE)  # the norm's own range checks reject bad values
+        return kind
 
     def evaluate(self, f: ScalarField) -> float:
         return _KINDS[self.tag][1](f, *self.params)

@@ -29,7 +29,7 @@ from .fields import (
     _gradient_into,
     divergence_array,
 )
-from .norms import lp_norm, sup_norm_vector, tv_norm
+from .norms import lp_norm, sup_magnitude, sup_norm_vector, tv_norm
 
 
 @dataclass
@@ -285,8 +285,7 @@ def minimize_flambda(
             t = 1.0 / (2.0 * lam_eff)
             saturated = False
         else:
-            r = state.residual(nu)
-            rnorm = float(np.sqrt(np.sum(r * r) * grid.cell_volume))
+            rnorm = lp_norm(ScalarField(grid, state.residual(nu)), 2)
             t = rnorm / lam_eff
             saturated = rnorm <= sat_tol
             if saturated:
@@ -401,7 +400,7 @@ def minimize_flambda(
     report = SolverReport(
         iterations=state.total_iters,
         objective=obj,
-        u_sup=float(np.sqrt((u_arr * u_arr).sum(axis=0).max())),
+        u_sup=sup_magnitude(u_arr),
         r_norm=lp_norm(r_field, 2),
         phi_tv=_phi_p_tv(r_field, p),
         converged=converged,
@@ -415,15 +414,12 @@ def _objective_value(
 ) -> float:
     r = state.residual(nu)
     fit = float(np.sum(r * r)) * grid.cell_volume
-    mag = float(np.sqrt((state.w * state.w).sum(axis=0).max()))
     fid = lam_eff * fit if p == 2 else lam_eff * np.sqrt(fit)
-    return nu * mag + fid
+    return nu * sup_magnitude(state.w) + fid
 
 
 def _report_objective(u_arr: np.ndarray, r: ScalarField, lam: float, p: int) -> float:
-    sup = float(np.sqrt((u_arr * u_arr).sum(axis=0).max()))
-    rn = lp_norm(r, 2)
-    return sup + lam * rn**p
+    return sup_magnitude(u_arr) + lam * lp_norm(r, 2) ** p
 
 
 # -- spectral Helmholtz solver -------------------------------------------------
@@ -511,12 +507,12 @@ def two_step(
     u2 = helmholtz_solve(r1, strict_mean=False)
     total = u1.as_array() + u2.as_array()
     u = VectorField.from_arrays(f.grid, list(total))
-    r = f.values - divergence_array(total, f.grid)
+    r = ScalarField(f.grid, f.values - divergence_array(total, f.grid))
     report = SolverReport(
         iterations=rep.iterations,
-        objective=_report_objective(total, ScalarField(f.grid, r), cfg.lam, cfg.p),
+        objective=_report_objective(total, r, cfg.lam, cfg.p),
         u_sup=sup_norm_vector(u),
-        r_norm=float(np.sqrt(np.sum(r * r) * f.grid.cell_volume)),
+        r_norm=lp_norm(r, 2),
         phi_tv=rep.phi_tv,
         converged=rep.converged,
     )
@@ -591,7 +587,7 @@ def _level_loop(
                 u_sup=rep.u_sup,
                 r_norm=r_norm,
                 r_tv=tv_norm(r_j, "isotropic"),
-                cumulative_sup=float(np.sqrt((total * total).sum(axis=0).max())),
+                cumulative_sup=sup_magnitude(total),
                 ratio=ratio,
             )
         )

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bdiv import cli, examples, fields, norms
+from bdiv import cli, examples, fields, norms, variational
 
 
 def run(argv):
@@ -134,7 +134,8 @@ def test_norms_bad_kinds_usage_error(tmp_path, capsys):
     data = tmp_path / "f.bdiv"
     run(["gen", "--kind", "random", "--n", "10", "--seed", "1",
          "--out", str(data)])
-    for kinds in ("lp", "lorentz:2", "bogus", "lp:2,bogus"):
+    for kinds in ("lp", "lorentz:2", "bogus", "lp:2,bogus", "tv:bogus", "lp:0.5",
+                  "weak:1", "lorentz:2:0.5", "lorentz:2:inf", "lp:nan", "weak:nan"):
         with pytest.raises(SystemExit) as exc:
             run(["norms", "--input", str(data), "--kinds", kinds])
         assert exc.value.code == 2
@@ -225,3 +226,62 @@ def test_hierarchy_trace_csv(tmp_path, capsys):
     assert rows[0][0] == "level"
     rep = json.loads(rep_path.read_text())
     assert len(rows) - 1 == len(rep["trace"]["levels"])
+
+
+def test_manifest_command_is_parsed_argv(tmp_path, capsys):
+    data = tmp_path / "f.bdiv"
+    gen = ["gen", "--kind", "random", "--n", "12", "--seed", "3",
+           "--out", str(data), "--report", str(tmp_path / "gen.json")]
+    solve = ["solve", "--method", "onestep2d", "--input", str(data),
+             "--out-prefix", str(tmp_path / "s"),
+             "--report", str(tmp_path / "solve.json")]
+    for argv, name in ((gen, "gen.json"), (solve, "solve.json")):
+        assert run(argv) == 0
+        rep = json.loads((tmp_path / name).read_text())
+        assert rep["manifest"]["command"] == argv
+        assert "argv" not in rep["manifest"]["config"]
+
+
+def _torus_input(tmp_path):
+    data = tmp_path / "f.bdiv"
+    run(["gen", "--kind", "random", "--n", "12", "--seed", "6", "--periodic",
+         "--mean-zero", "--out", str(data)])
+    return data
+
+
+def test_solve_minimize_tampered_residual_is_invariant_violation(
+    tmp_path, capsys, monkeypatch
+):
+    solve = variational.minimize_flambda
+
+    def tampered(f, cfg):
+        u, r, rep = solve(f, cfg)
+        return u, fields.ScalarField(r.grid, r.values + 1e-6), rep
+
+    monkeypatch.setattr(variational, "minimize_flambda", tampered)
+    rep_path = tmp_path / "rep.json"
+    code = run(["solve", "--method", "minimize", "--lambda", "3.0",
+                "--input", str(_torus_input(tmp_path)),
+                "--out-prefix", str(tmp_path / "m"), "--report", str(rep_path)])
+    assert code == cli.EXIT_INVARIANT
+    verification = json.loads(rep_path.read_text())["verification"]
+    assert not verification["ok"]
+    assert verification["residual_claim_miss"] == pytest.approx(1e-6)
+
+
+def test_solve_hierarchy_tampered_u_is_invariant_violation(
+    tmp_path, capsys, monkeypatch
+):
+    run_p2 = variational.hierarchical_p2
+
+    def tampered(f, cfg):
+        u, trace = run_p2(f, cfg)
+        return fields.VectorField.from_arrays(u.grid, list(1.01 * u.as_array())), trace
+
+    monkeypatch.setattr(variational, "hierarchical_p2", tampered)
+    rep_path = tmp_path / "rep.json"
+    code = run(["solve", "--method", "hier-p2",
+                "--input", str(_torus_input(tmp_path)),
+                "--out-prefix", str(tmp_path / "h"), "--report", str(rep_path)])
+    assert code == cli.EXIT_INVARIANT
+    assert not json.loads(rep_path.read_text())["verification"]["ok"]

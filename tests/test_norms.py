@@ -298,6 +298,20 @@ class TestNormKind:
             with pytest.raises(ValueError):
                 NormKind.parse(spec)
 
+    def test_parse_rejects_out_of_range(self):
+        for spec in ("tv:bogus", "lp:0.5", "weak:1", "lorentz:2:0.5",
+                     "lorentz:2:inf", "lorentz:0.5:1", "lp:nan", "weak:nan"):
+            with pytest.raises(ValueError):
+                NormKind.parse(spec)
+
+
+def test_lorentz_q_messages():
+    f = rand_field(seed=4)
+    with pytest.raises(ValueError, match="need 1 <= q < inf, got q=0.5"):
+        lorentz_norm(f, 2, 0.5)
+    with pytest.raises(ValueError, match="q = inf is not a Lorentz integral"):
+        lorentz_norm(f, 2, np.inf)
+
 
 class TestSetNormSlopes:
     """Signed one-sided difference quotients of the weak-L2 set norm along

@@ -8,14 +8,17 @@ Conventions used throughout the package:
   the pair is an exact adjoint (up to sign) both on periodic grids and on
   boxes with the zero-outside extension,
 * this module holds the only implementation of that stencil pair, in the
-  in-place form ``_*_into(..., out)``; the functions below allocate and call
-  it, and solver hot loops call it on preallocated buffers,
+  in-place form ``_*_into(..., out)``: a few ufunc calls on the slices 1:,
+  :-1, :1 and -1: along the axis, taken through index tuples built once per
+  (ndim, axis); the functions below allocate and call it, and solver hot
+  loops call it on preallocated buffers,
 * reductions go through ``np.sum`` (fixed pairwise tree), so results are
   bit-stable across runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -66,7 +69,7 @@ class Grid:
     def d(self) -> int:
         return len(self.n)
 
-    @property
+    @functools.cached_property
     def h(self) -> tuple[float, ...]:
         return tuple((hi - lo) / ni for ni, lo, hi in zip(self.n, self.lo, self.hi))
 
@@ -181,17 +184,27 @@ class RegionMask:
 # past the high edge.  This makes the pair exactly adjoint on boxes too.
 
 
+@functools.cache
+def _axis_slices(ndim: int, axis: int) -> tuple[tuple[slice, ...], ...]:
+    """Index tuples selecting, along one axis of an ndim array, the cells
+    1:, :-1, :1 and -1: (trailing axes are left whole)."""
+    lead = (slice(None),) * axis
+    return tuple(
+        lead + (s,)
+        for s in (slice(1, None), slice(None, -1), slice(None, 1), slice(-1, None))
+    )
+
+
 def _backward_diff_into(
     src: np.ndarray, axis: int, h: float, periodic: bool, out: np.ndarray
 ) -> np.ndarray:
     """out <- backward difference of src along axis, divided by h."""
-    a = np.moveaxis(src, axis, 0)
-    d = np.moveaxis(out, axis, 0)
-    np.subtract(a[1:], a[:-1], out=d[1:])
-    if periodic:  # edge slices, not a[0]: in 1-D that is a scalar out= rejects
-        np.subtract(a[:1], a[-1:], out=d[:1])
+    tail, head, first, last = _axis_slices(src.ndim, axis)
+    np.subtract(src[tail], src[head], out=out[tail])
+    if periodic:  # edge slices, not src[0]: in 1-D that is a scalar out= rejects
+        np.subtract(src[first], src[last], out=out[first])
     else:
-        d[0] = a[0]
+        out[first] = src[first]
     out /= h
     return out
 
@@ -200,13 +213,12 @@ def _forward_diff_into(
     src: np.ndarray, axis: int, h: float, periodic: bool, out: np.ndarray
 ) -> np.ndarray:
     """out <- forward difference of src along axis, divided by h."""
-    a = np.moveaxis(src, axis, 0)
-    d = np.moveaxis(out, axis, 0)
-    np.subtract(a[1:], a[:-1], out=d[:-1])
+    tail, head, first, last = _axis_slices(src.ndim, axis)
+    np.subtract(src[tail], src[head], out=out[head])
     if periodic:
-        np.subtract(a[:1], a[-1:], out=d[-1:])
-    else:
-        np.negative(a[-1:], out=d[-1:])
+        np.subtract(src[first], src[last], out=out[last])
+    else:  # x * -1.0 is -x; numpy 2.4.6's np.negative misreads 64-byte strides
+        np.multiply(src[last], -1.0, out=out[last])
     out /= h
     return out
 

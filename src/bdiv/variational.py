@@ -16,6 +16,7 @@ rescales the outputs, keeping all internal quantities at O(1) scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -30,6 +31,11 @@ from .fields import (
     divergence_array,
 )
 from .norms import lp_norm, sup_magnitude, sup_norm_vector, tv_norm
+
+# relative L2 residual below which a p = 1 solve counts as saturated: past
+# the exact-penalty threshold the minimizer's residual is zero, and there
+# |phi_1(r)|_TV = TV(r) / ||r||_2 certifies nothing
+SATURATION_TOL = 1e-3
 
 
 @dataclass
@@ -138,9 +144,10 @@ class _DualState:
     """Warm-startable projected-FISTA solve of min_{|w(x)|<=1}
     0.5 ||f - nu div w||^2 on unit-normalized data.
 
-    The inner loop works on preallocated buffers; div/grad are the in-place
-    stencils of ``fields``, which keep the per-iteration allocation churn
-    off the hot path.
+    The inner loop allocates nothing: div/grad are the in-place stencils of
+    ``fields`` on preallocated buffers, the restart product and the
+    momentum update reuse one difference buffer, and the duality-gap check
+    works in the gradient buffer.
     """
 
     def __init__(self, farr: np.ndarray, grid: Grid):
@@ -162,22 +169,29 @@ class _DualState:
             np.hypot(g[0], g[1], out=out)
         else:
             np.multiply(g[0], g[0], out=out)
-            out += g[1] * g[1]
-            out += g[2] * g[2]
+            for c in g[1:]:
+                np.multiply(c, c, out=self._tmp)
+                out += self._tmp
             np.sqrt(out, out=out)
 
+    def _residual_into(self, w: np.ndarray, nu: float) -> np.ndarray:
+        """self._r <- f - nu div w."""
+        r = self._r
+        _divergence_into(w, self.grid, r, self._tmp)
+        r *= -nu
+        r += self.farr
+        return r
+
     def residual(self, nu: float) -> np.ndarray:
-        _divergence_into(self.w, self.grid, self._r, self._tmp)
-        self._r *= -nu
-        self._r += self.farr
-        return self._r.copy()
+        return self._residual_into(self.w, nu).copy()
 
     def tv_and_gap(self, nu: float) -> tuple[float, float]:
-        r = self.residual(nu)
-        _gradient_into(r, self.grid, self._g)
-        self._magnitude_into(self._g, self._mag)
+        g = self._g
+        _gradient_into(self._residual_into(self.w, nu), self.grid, g)
+        self._magnitude_into(g, self._mag)
         tv = float(self._mag.sum()) * self.vol
-        gap = nu * (tv + float(np.sum(self._g * self.w)) * self.vol)
+        g *= self.w
+        gap = nu * (tv + float(g.sum()) * self.vol)
         return tv, gap
 
     def solve(
@@ -202,26 +216,26 @@ class _DualState:
         w = self.w.copy()
         wy = w.copy()
         w_new = np.empty_like(w)
-        r, g, mag, tmp, grid = self._r, self._g, self._mag, self._tmp, self.grid
+        dw = np.empty_like(w)
+        g, mag, grid = self._g, self._mag, self.grid
+        mag_b = mag[None]
         tmom = 1.0
         tv = np.inf
         for it in range(1, max_iters + 1):
-            _divergence_into(wy, grid, r, tmp)
-            r *= -nu
-            r += self.farr
-            _gradient_into(r, grid, g)
+            _gradient_into(self._residual_into(wy, nu), grid, g)
             np.multiply(g, -step, out=w_new)
             w_new += wy
             self._magnitude_into(w_new, mag)
             np.maximum(mag, 1.0, out=mag)
-            w_new /= mag[None]
+            w_new /= mag_b
             # restart when the implicit gradient step opposes the movement
+            np.subtract(w_new, w, out=dw)
             wy -= w_new
-            restart = float(np.sum(wy * (w_new - w))) > 0.0
-            tnew = 1.0 if restart else 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tmom * tmom))
+            wy *= dw
+            restart = float(wy.sum()) > 0.0
+            tnew = 1.0 if restart else 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tmom * tmom))
             coef = 0.0 if restart else (tmom - 1.0) / tnew
-            np.subtract(w_new, w, out=wy)
-            wy *= coef
+            np.multiply(dw, coef, out=wy)
             wy += w_new
             w, w_new = w_new, w
             tmom = tnew
@@ -245,8 +259,10 @@ def minimize_flambda(
     as nu times the dual field, and r* from the same arrays).  Contracts:
     the returned objective never exceeds the zero-field objective
     lam ||f||^p; on convergence the residual certificate |phi_p(r*)|_TV <=
-    (1 + tol_residual)/lam holds; below the trivial threshold
-    lam |phi_p(f)|_TV <= 1 the zero field is optimal and returned exactly.
+    (1 + tol_residual)/lam holds, or, for p = 1 in the exact-penalty regime,
+    the residual vanishes instead: ||r*||_2 <= SATURATION_TOL ||f||_2; below
+    the trivial threshold lam |phi_p(f)|_TV <= 1 the zero field is optimal
+    and returned exactly.
     """
     grid = f.grid
     lam, p = cfg.lam, cfg.p
@@ -274,8 +290,7 @@ def minimize_flambda(
     # saturation: for p = 1 the fidelity is an exact penalty, so past a
     # finite nu the residual vanishes identically; such nu are flagged as
     # feasible and the search closes in on the smallest one.
-    sat_tol = 1e-3
-    t_floor = (1.0 / (2.0 * lam_eff)) if p == 2 else sat_tol / lam_eff
+    t_floor = (1.0 / (2.0 * lam_eff)) if p == 2 else SATURATION_TOL / lam_eff
     t_ref = 1.0 / (2.0 * lam_eff) if p == 2 else 1.0 / lam_eff
     saturated = False
 
@@ -287,7 +302,7 @@ def minimize_flambda(
         else:
             rnorm = lp_norm(ScalarField(grid, state.residual(nu)), 2)
             t = rnorm / lam_eff
-            saturated = rnorm <= sat_tol
+            saturated = rnorm <= SATURATION_TOL
             if saturated:
                 return -max(t, t_floor), max(t, t_floor)
             t_ref = max(t, t_floor)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -285,3 +286,60 @@ def test_solve_hierarchy_tampered_u_is_invariant_violation(
                 "--out-prefix", str(tmp_path / "h"), "--report", str(rep_path)])
     assert code == cli.EXIT_INVARIANT
     assert not json.loads(rep_path.read_text())["verification"]["ok"]
+
+
+def _minimize_report(tmp_path, p="2"):
+    """Solve the torus input with `minimize` at lambda 3; returns the exit
+    code and the verification block."""
+    rep_path = tmp_path / "rep.json"
+    code = run(["solve", "--method", "minimize", "--lambda", "3.0", "--p", p,
+                "--input", str(_torus_input(tmp_path)),
+                "--out-prefix", str(tmp_path / "m"), "--report", str(rep_path)])
+    return code, json.loads(rep_path.read_text())["verification"]
+
+
+def test_solve_minimize_reports_bound_and_certificate(tmp_path, capsys):
+    for p in ("2", "1"):
+        code, verification = _minimize_report(tmp_path, p)
+        assert code == cli.EXIT_OK and verification["ok"]
+        assert verification["objective"] <= verification["trivial_bound"]
+        assert verification["phi_tv"] >= 0.0
+        assert verification["certificate_bound"] == pytest.approx(1.01 / 3.0)
+
+
+def test_solve_minimize_tampered_u_breaks_trivial_bound(
+    tmp_path, capsys, monkeypatch
+):
+    solve = variational.minimize_flambda
+
+    def tampered(f, cfg):
+        # a constant field is divergence-free on the torus: r stays right,
+        # but sup|u| now exceeds the zero field's objective
+        u, r, rep = solve(f, cfg)
+        shift = 2.0 * cfg.lam * norms.lp_norm(f, 2) ** cfg.p
+        shifted = fields.VectorField.from_arrays(u.grid, list(u.as_array() + shift))
+        return shifted, r, rep
+
+    monkeypatch.setattr(variational, "minimize_flambda", tampered)
+    code, verification = _minimize_report(tmp_path)
+    assert code == cli.EXIT_INVARIANT
+    assert not verification["ok"]
+    assert verification["residual_claim_miss"] <= 1e-10
+    assert verification["objective"] > verification["trivial_bound"]
+
+
+def test_solve_minimize_false_convergence_breaks_certificate(
+    tmp_path, capsys, monkeypatch
+):
+    solve = variational.minimize_flambda
+
+    def tampered(f, cfg):
+        u, r, rep = solve(f, dataclasses.replace(cfg, max_iters=10))
+        return u, r, dataclasses.replace(rep, converged=True)
+
+    monkeypatch.setattr(variational, "minimize_flambda", tampered)
+    code, verification = _minimize_report(tmp_path)
+    assert code == cli.EXIT_INVARIANT
+    assert verification["residual_claim_miss"] == 0.0
+    assert verification["objective"] <= verification["trivial_bound"]
+    assert verification["phi_tv"] > verification["certificate_bound"]

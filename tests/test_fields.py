@@ -9,10 +9,14 @@ from bdiv.fields import (
     Grid,
     ScalarField,
     VectorField,
+    _divergence_into,
+    _gradient_into,
     backward_diff,
     cumulative_primitive,
     discrete_divergence,
+    divergence_array,
     forward_gradient,
+    gradient_array,
     inner,
     inner_vector,
     integrate,
@@ -90,6 +94,15 @@ class TestDivergence:
                 v = VectorField.from_arrays(g, comps)
                 expect = stencil_divergence(comps, g.h, g.periodic)
                 assert np.allclose(discrete_divergence(v).values, expect, atol=1e-14)
+
+    def test_gradient_high_box_edge_of_eight_cells(self):
+        # the edge cells along the last axis are views with a 64-byte
+        # stride, which numpy 2.4.6's np.negative reads as contiguous
+        for n in ((3, 8), (2, 5, 8)):
+            g = Grid(n, 0.0, 1.0)
+            vals = rand_field(g, seed=5).values
+            grad = gradient_array(vals, g)
+            assert np.array_equal(grad[-1][..., -1], -vals[..., -1] / g.h[-1])
 
     def test_component_grid_mismatch_rejected(self):
         a = ScalarField(Grid((4, 4), 0.0, 1.0), np.zeros((4, 4)))
@@ -253,6 +266,55 @@ def test_divergence_gradient_adjoint(seed, periodic):
         lhs = inner(scal, discrete_divergence(vec))
         rhs = -inner_vector(forward_gradient(scal), vec)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def stencil_grids(draw):
+    """A grid of dimension 1-3 with 2-9 cells, a periodicity and a spacing
+    per axis."""
+    d = draw(st.integers(1, 3))
+    axes = st.lists(st.integers(2, 9), min_size=d, max_size=d)
+    flags = st.lists(st.booleans(), min_size=d, max_size=d)
+    lo = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+    length = draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d))
+    hi = [a + b for a, b in zip(lo, length)]
+    return Grid(draw(axes), lo, hi, periodic=draw(flags))
+
+
+def nan_buffer(shape, layout):
+    """A NaN-filled buffer, C-ordered, Fortran-ordered or a strided view."""
+    if layout == "C":
+        return np.full(shape, np.nan)
+    if layout == "F":
+        return np.asfortranarray(np.full(shape, np.nan))
+    every_other = (slice(None, None, 2),) * len(shape)
+    return np.full(tuple(2 * s for s in shape), np.nan)[every_other]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    grid=stencil_grids(),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    seed=st.integers(0, 10_000),
+)
+def test_in_place_kernel_matches_allocating_operators(grid, layout, seed):
+    """The in-place stencils the solver calls write every cell, into any
+    buffer layout (the gradient into out[a] views), with the same bits as
+    the allocating operators."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((grid.d,) + grid.n)
+    g = rng.standard_normal(grid.n)
+
+    div = nan_buffer(grid.n, layout)
+    tmp = nan_buffer(grid.n, layout) if grid.d > 1 else None
+    _divergence_into(v, grid, div, tmp)
+    assert np.array_equal(div, divergence_array(v, grid))
+    expect = stencil_divergence(list(v), grid.h, grid.periodic)
+    assert np.allclose(div, expect, atol=1e-14)
+
+    grad = nan_buffer((grid.d,) + grid.n, layout)
+    _gradient_into(g, grid, grad)
+    assert np.array_equal(grad, gradient_array(g, grid))
 
 
 def test_primitive_then_divergence_recovers_field():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,95 @@ class TestMinimize:
             assert rep.objective <= lam * lp_norm(f, 2) ** p * (1 + 1e-12)
             div = discrete_divergence(u)
             assert np.abs(div.values + r.values - f.values).max() <= 1e-12
+
+
+# Bit-identity pins of minimize_flambda: SHA-256 of the C-order float64 bytes
+# of u (stacked (d, ...)) and r, and report.iterations.  Each grid is
+# (n, lo, hi, periodic); the data are seeded standard normals, mean-zero on
+# tori, with lam = 10 / (2 TV(f)) for p = 2 and 1.5 ||f||_2 / TV(f) for p = 1.
+# Taken before the stencils moved to index tuples and the FISTA loop stopped
+# allocating; a speed-up of either must leave them unchanged.
+PIN_GRIDS = {
+    "torus1d": ((40,), -1.0, 1.0, True),
+    "box2d": ((12, 12), -1.0, 1.0, False),
+    "aniso2d": ((12, 16), (0.0, -1.0), (1.0, 2.0), (True, False)),
+    "torus3d": ((8, 8, 8), -1.0, 1.0, True),
+    "box3d": ((8, 6, 7), (0.0, 0.0, -1.0), (1.0, 0.5, 1.0), False),
+}
+
+SOLVER_PINS = {
+    ("torus1d", 2): (
+        "b08c1aa4a307c6fecaa473617437b93ba35a04604407e3b58ee57e5bf34d1d22",
+        "988d9622210fd2ff7d3955badf5b5710e22d61df1d65fb53aa07426964cba3e9",
+        1250,
+    ),
+    ("torus1d", 1): (
+        "1d312dbe24c1920a396210b54231f68c83d1a48ad8fbb4619f5c9fa7c3eb1e69",
+        "b76ddecf37df202a050faee48577c5e9b80f56bb2d6849d7dbd93155ef1d6431",
+        1300,
+    ),
+    ("box2d", 2): (
+        "b51ab9d9b920d6f5f07351ede40ab2619129a3d8f43d6e72aaf88c5bf06ac42f",
+        "39d6a60711f10d91c7ec9043786cee24e12e546093c94006f932c48bbd7734cb",
+        4750,
+    ),
+    ("box2d", 1): (
+        "48634ae5ca63ece729ab4de1bca5991b4ea726ac3c4d61712d800eae84f1e579",
+        "2b5381628bae19c84781727c741258152cb4e7929e73a0d5dd3a03930b3a28fd",
+        2150,
+    ),
+    ("aniso2d", 2): (
+        "dc7235986b016dd881179e25196895d621f4164c60fa6907dd751417335feed5",
+        "27164927074ae0c43930f5c2c5be8cc4f377c017fab0762d40ca7f5c6e4fb78b",
+        3850,
+    ),
+    ("aniso2d", 1): (
+        "f812346533f238ed0e4df7d506e56d58c784f4695074d8c8cac185a5ff994d6f",
+        "166899dc47b18edc0e7054f25322d4a123ee28d9db3e7e611aa87a67b04736f8",
+        8000,
+    ),
+    ("torus3d", 2): (
+        "ca5b040b96114787f0392cd599d94d82fb87f83be27a6435253a3624fd7a18f6",
+        "5c68d41006e984408f5c59d9e5b007c870a8ecd3d96a3c9e78ed75cced408c55",
+        2050,
+    ),
+    ("torus3d", 1): (
+        "234ee59f799eb94c6fb29e06cc86a778852ad3c6e0de79b23bc4823f13c5ecb8",
+        "699f8c92040ecd0fec155bedd80a6f2fa13084aa1b86b18a81a436b82fcee645",
+        4300,
+    ),
+    ("box3d", 2): (
+        "6fa9b477ef0a5f7dcef0aead3cd8fef186e3092d3f4303a181bd00d771f34688",
+        "e3a7492c0e6772bf4fc7004f425247ad1fcec6e1683f26ba3d5fffa387981dab",
+        7400,
+    ),
+    ("box3d", 1): (
+        "2f4df1a0c2c42353c33c31b34f303570d921bb4234c30f52da6ca61a30acb085",
+        "2f2c68d22a529a630cf3edaaec83429c090af911c00135393ee5eab5107532f6",
+        1750,
+    ),
+}
+
+
+def _sha256(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", SOLVER_PINS, ids=lambda c: f"{c[0]}-p{c[1]}")
+def test_minimize_bit_identity_pins(case):
+    name, p = case
+    n, lo, hi, periodic = PIN_GRIDS[name]
+    grid = Grid(n, lo, hi, periodic=periodic)
+    seed = 20 + list(PIN_GRIDS).index(name)
+    f = ScalarField(grid, np.random.default_rng(seed).standard_normal(n))
+    if all(grid.periodic):
+        f = mean_zero(f)
+    tv = tv_norm(f, "isotropic")
+    lam = 10.0 / (2.0 * tv) if p == 2 else 1.5 * lp_norm(f, 2) / tv
+    u, r, rep = minimize_flambda(f, VariationalConfig(lam=lam, p=p))
+    assert rep.converged and not rep.trivial
+    got = (_sha256(u.as_array()), _sha256(r.values), rep.iterations)
+    assert got == SOLVER_PINS[case]
 
 
 class TestTwoStep:

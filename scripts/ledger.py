@@ -63,12 +63,12 @@ def c2(args) -> None:
     beta = 1.0 / (4.0 * np.pi * BALL_LAM)
     for n in (int(s) for s in args.n.split(",")):
         f = ball_field(BALL_ALPHA, 1.0, n, half_width=args.half_width)
-        t0 = time.time()
+        t0 = time.perf_counter()
         cfg = VariationalConfig(
             lam=BALL_LAM, max_iters=args.max_iters, inner_iters=6000
         )
         _, r, rep = minimize_flambda(f, cfg)
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         chi = ball_field(beta, 1.0, n, half_width=args.half_width)
         rel = lp_norm(ScalarField(f.grid, r.values - chi.values), 2) / lp_norm(
             chi, 2

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -343,32 +344,31 @@ def write_field(f: ScalarField, path) -> None:
 
 
 def read_field(path) -> ScalarField:
+    """Read a BDIV1 file.  The header is read and checked first, and the
+    file size must equal what it implies, before the payload is read."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(MAGIC) + 1 or data[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not a BDIV1 field file")
-    off = len(MAGIC)
-    d = data[off]
-    off += 1
-    if d not in (1, 2, 3):
-        raise ValueError(f"{path}: unsupported dimension {d}")
-    need = d * 4 + 2 * d * 8 + 1
-    if len(data) < off + need:
-        raise ValueError(f"{path}: truncated header")
-    n = struct.unpack_from(f"<{d}I", data, off)
-    off += d * 4
-    lo = struct.unpack_from(f"<{d}d", data, off)
-    off += d * 8
-    hi = struct.unpack_from(f"<{d}d", data, off)
-    off += d * 8
-    mask = data[off]
-    off += 1
-    periodic = tuple(bool(mask >> a & 1) for a in range(d))
-    count = math.prod(n)
-    if len(data) != off + 8 * count:
-        raise ValueError(
-            f"{path}: expected {8 * count} payload bytes, got {len(data) - off}"
-        )
-    values = np.frombuffer(data, dtype="<f8", count=count, offset=off)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(MAGIC) + 1)
+        if len(head) < len(MAGIC) + 1 or head[: len(MAGIC)] != MAGIC:
+            raise ValueError(f"{path}: not a BDIV1 field file")
+        d = head[-1]
+        if d not in (1, 2, 3):
+            raise ValueError(f"{path}: unsupported dimension {d}")
+        need = d * 4 + 2 * d * 8 + 1
+        meta = fh.read(need)
+        if len(meta) < need:
+            raise ValueError(f"{path}: truncated header")
+        n = struct.unpack_from(f"<{d}I", meta, 0)
+        lo = struct.unpack_from(f"<{d}d", meta, d * 4)
+        hi = struct.unpack_from(f"<{d}d", meta, d * 12)
+        periodic = tuple(bool(meta[-1] >> a & 1) for a in range(d))
+        count = math.prod(n)
+        off = len(head) + len(meta)
+        if size != off + 8 * count:
+            raise ValueError(
+                f"{path}: expected {8 * count} payload bytes, got {size - off}"
+            )
+        data = fh.read(8 * count)
+    values = np.frombuffer(data, dtype="<f8", count=count)
     grid = Grid(n, lo, hi, periodic)
     return ScalarField(grid, values.astype(np.float64).reshape(n))

@@ -7,11 +7,15 @@ pointwise-constrained dual field |w(x)|_2 <= 1 and a scalar nu >= 0: for
 fixed nu, w solves the quadratic dual min 0.5 ||f - nu div w||^2 (projected
 FISTA with adaptive restart), and nu is pinned by the residual certificate
 - TV(r) = 1/(2 lambda) for p = 2, TV(r) = ||r||_2 / lambda for p = 1 -
-through a bracketed one-dimensional root search with warm starts.  Hitting
-the certificate is then part of the construction rather than a limit
-property.  The objective is 1-homogeneous under (u, f, lambda) -> (cu, cf,
-lambda c^{p-1}), so the iteration runs on unit-L2-normalized data and
-rescales the outputs, keeping all internal quantities at O(1) scale.
+through a bracketed one-dimensional root search with warm starts.  Each
+probe of the search solves to a cheap duality gap first, which fixes the
+sign of the certificate defect wherever it lies outside twice the band,
+and continues to the tight gap only inside it, so every in-band verdict
+rests on a tight solve.  Hitting the certificate is then part of the
+construction rather than a limit property.  The objective is
+1-homogeneous under (u, f, lambda) -> (cu, cf, lambda c^{p-1}), so the
+iteration runs on unit-L2-normalized data and rescales the outputs,
+keeping all internal quantities at O(1) scale.
 """
 
 from __future__ import annotations
@@ -67,7 +71,13 @@ class VariationalConfig:
 
 @dataclass
 class SolverReport:
-    """Outcome of one minimization: certificates and convergence record."""
+    """Outcome of one minimization: certificates and convergence record.
+
+    converged means the returned residual lies in the certificate band (or,
+    for p = 1, is saturated); gap_met means the inner solve behind the
+    returned u reached the duality-gap tolerance tol_objective rather than
+    stopping at its iteration cap or only at the cheap gap.
+    """
 
     iterations: int
     objective: float
@@ -75,6 +85,7 @@ class SolverReport:
     r_norm: float
     phi_tv: float
     converged: bool
+    gap_met: bool
     trivial: bool = False
     objective_history: list[float] = field(default_factory=list)
 
@@ -157,6 +168,7 @@ class _DualState:
         self.lips = sum(4.0 / h**2 for h in grid.h)  # ||div||^2
         self.w = np.zeros((grid.d,) + grid.n)
         self.total_iters = 0
+        self.gap_met = False
         self._r = np.empty(grid.n)
         self._tmp = np.empty(grid.n) if grid.d > 1 else None
         self._g = np.empty((grid.d,) + grid.n)
@@ -209,7 +221,9 @@ class _DualState:
         the residual collapses past saturation.  Momentum restarts when the
         gradient-mapping direction turns against the last step.  With no
         iterations allowed it only evaluates TV(r) of the current w.
+        Sets gap_met to whether the duality gap reached its threshold.
         """
+        self.gap_met = False
         if max_iters <= 0:
             return self.tv_and_gap(nu)[0]
         step = 1.0 / (nu * self.lips)  # descent step times nu folded in
@@ -243,6 +257,7 @@ class _DualState:
                 self.w = w
                 tv, gap = self.tv_and_gap(nu)
                 if gap <= gap_rel * max(nu * max(tv, tv_ref), 1e-300):
+                    self.gap_met = True
                     self.total_iters += it
                     return tv
         self.w = w
@@ -263,6 +278,14 @@ def minimize_flambda(
     the residual vanishes instead: ||r*||_2 <= SATURATION_TOL ||f||_2; below
     the trivial threshold lam |phi_p(f)|_TV <= 1 the zero field is optimal
     and returned exactly.
+
+    The search over nu brackets the root, then narrows it by Illinois false
+    position.  Each probe runs a cheap inner solve (relative gap 1e-4) and
+    goes on to the gap tol_objective only when the cheap certificate defect
+    lies within twice the band 0.5 tol_residual of zero; the search stops at
+    the first probe inside the band, so that verdict always rests on a
+    tight solve.  report.gap_met says whether that solve reached
+    tol_objective or stopped at the inner_iters cap.
     """
     grid = f.grid
     lam, p = cfg.lam, cfg.p
@@ -277,6 +300,7 @@ def minimize_flambda(
             r_norm=fnorm,
             phi_tv=phi_tv_f,
             converged=True,
+            gap_met=True,
             trivial=True,
         )
         return VectorField.zeros(grid), f.copy(), report
@@ -284,7 +308,6 @@ def minimize_flambda(
     farr = f.values / fnorm
     lam_eff = lam * fnorm ** (p - 1)
     state = _DualState(farr, grid)
-    coarse_gap = max(cfg.tol_objective, 1e-8)
     band = 0.5 * cfg.tol_residual
 
     # saturation: for p = 1 the fidelity is an exact penalty, so past a
@@ -311,17 +334,19 @@ def minimize_flambda(
     def budget() -> int:
         return min(cfg.inner_iters, cfg.max_iters - state.total_iters)
 
-    def probe(nu: float, gap_rel: float) -> tuple[float, float]:
-        """Solve at nu; return (certificate defect, its scale).  The defect
-        is positive while nu is below the root.  Solves cheaply first and
-        continues to the requested tolerance only when the sign of the
-        defect is in doubt.  No solve runs past cfg.max_iters."""
+    def probe(nu: float) -> tuple[float, float, bool]:
+        """Solve at nu; return (certificate defect, its scale, whether the
+        gap cfg.tol_objective was reached).  The defect is positive while
+        nu is below the root.  A cheap solve (gap 1e-4, TV(r) to a few 1e-4
+        relative) settles the sign wherever the defect lies outside twice
+        the certificate band; only inside it does the solve continue to
+        cfg.tol_objective.  No solve runs past cfg.max_iters."""
         tv = state.solve(nu, budget(), 1e-4, cfg.check_every, t_ref)
         d, scale = defect_of(tv, nu)
-        if abs(d) > 0.25 * scale or saturated or budget() <= 0:
-            return d, scale
-        tv = state.solve(nu, budget(), gap_rel, cfg.check_every, t_ref)
-        return defect_of(tv, nu)
+        if abs(d) > 2.0 * band * scale or saturated or budget() <= 0:
+            return d, scale, False
+        tv = state.solve(nu, budget(), cfg.tol_objective, cfg.check_every, t_ref)
+        return (*defect_of(tv, nu), state.gap_met)
 
     # defect at nu = 0 is free: r = f
     tv_f = tv_norm(ScalarField(grid, farr), "isotropic")
@@ -332,10 +357,10 @@ def minimize_flambda(
     nu = 0.25
     converged = False
     history: list[float] = []
-    best: tuple[float, np.ndarray, float] | None = None
+    best: tuple[float, np.ndarray, float, bool] | None = None
     d_hi = d_lo
     while state.total_iters < cfg.max_iters:
-        d_hi, scale = probe(nu, coarse_gap)
+        d_hi, scale, _ = probe(nu)
         if d_hi <= 0:
             break
         nu_lo, d_lo, nu = nu, d_hi, 2.0 * nu
@@ -351,9 +376,10 @@ def minimize_flambda(
             nu = min(max(nu, nu_lo + 0.02 * width), nu_hi - 0.02 * width)
         else:
             nu = 0.5 * (nu_lo + nu_hi)
-        d, scale = probe(nu, coarse_gap)
+        d, scale, met = probe(nu)
         obj = _objective_value(state, nu, lam_eff, p, grid)
         history.append(obj if not history else min(obj, history[-1]))
+        in_band = abs(d) <= band * scale and not saturated
         if d > 0:
             nu_lo, d_lo = nu, d
             if side == -1:
@@ -361,45 +387,22 @@ def minimize_flambda(
             side = -1
         else:
             nu_hi, d_hi = nu, d
-            if best is None or obj < best[0]:
-                best = (obj, state.w.copy(), nu)
             if side == 1:
                 d_lo *= 0.5
             side = 1
-        in_band = (-band * scale <= d <= band * scale) and not saturated
+        if (d <= 0 or in_band) and (best is None or obj < best[0]):
+            best = (obj, state.w.copy(), nu, met)
         tiny = (nu_hi - nu_lo) <= 1e-14 * max(nu_hi, 1.0)
+        # exact-penalty optimum: the residual vanished at a bracketed edge
         sat_edge = saturated and (nu_hi - nu_lo) <= 1e-3 * max(nu_hi, 1e-300)
         if in_band or tiny or sat_edge:
-            if sat_edge:  # exact-penalty optimum: residual vanished
-                obj = _objective_value(state, nu, lam_eff, p, grid)
-                if best is None or obj <= best[0]:
-                    best = (obj, state.w.copy(), nu)
-                history.append(obj if not history else min(obj, history[-1]))
-                converged = True
-                break
-            d, scale = probe(nu, cfg.tol_objective)  # polish
-            if not tiny and d > band * scale:
-                nu_lo, d_lo = nu, d
-                side = -1
-                continue
-            obj = _objective_value(state, nu, lam_eff, p, grid)
-            if d <= band * scale and (best is None or obj <= best[0]):
-                best = (obj, state.w.copy(), nu)
-            if not tiny and d < -band * scale:
-                nu_hi, d_hi = nu, d  # cheap probe was optimistic; narrow on
-                side = 1
-                continue
-            history.append(obj if not history else min(obj, history[-1]))
-            converged = abs(d) <= band * scale
+            converged = in_band or sat_edge
             break
 
     if best is None:  # budget exhausted on the infeasible side
-        probe(nu_hi, coarse_gap)
-        best = (
-            _objective_value(state, nu_hi, lam_eff, p, grid),
-            state.w.copy(),
-            nu_hi,
-        )
+        _, _, met = probe(nu_hi)
+        obj = _objective_value(state, nu_hi, lam_eff, p, grid)
+        best = (obj, state.w.copy(), nu_hi, met)
         converged = False
     state.w, nu = best[1], best[2]
 
@@ -419,6 +422,7 @@ def minimize_flambda(
         r_norm=lp_norm(r_field, 2),
         phi_tv=_phi_p_tv(r_field, p),
         converged=converged,
+        gap_met=best[3],
         objective_history=[h * fnorm for h in history],
     )
     return VectorField.from_arrays(grid, list(u_arr)), r_field, report
@@ -512,7 +516,7 @@ def two_step(
         raise ValueError("two-step construction needs a periodic grid")
     fnorm = lp_norm(f, 2)
     if fnorm == 0.0:
-        rep = SolverReport(0, 0.0, 0.0, 0.0, 0.0, True, trivial=True)
+        rep = SolverReport(0, 0.0, 0.0, 0.0, 0.0, True, True, trivial=True)
         return VectorField.zeros(f.grid), rep
     if cfg is None:
         cfg = VariationalConfig(lam=1.0 / fnorm)
@@ -530,6 +534,7 @@ def two_step(
         r_norm=lp_norm(r, 2),
         phi_tv=rep.phi_tv,
         converged=rep.converged,
+        gap_met=rep.gap_met,
     )
     return u, report
 

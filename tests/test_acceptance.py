@@ -129,10 +129,10 @@ def test_criterion2_ball_closed_form():
     lam = 8.0 / np.pi  # so that beta = 1/(4 pi lam) = 1/32; see LEDGER.md
     beta = 1.0 / (4.0 * np.pi * lam)
     f = ball_field(alpha, radius, n)
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = VariationalConfig(lam=lam, max_iters=52_000, inner_iters=6000)
     u, r, rep = minimize_flambda(f, cfg)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     chi = ball_field(beta, radius, n)
     rel_err = lp_norm(ScalarField(f.grid, r.values - chi.values), 2) / lp_norm(
         chi, 2

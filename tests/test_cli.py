@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -101,6 +102,42 @@ def test_solve_corrupt_input_invariant_exit(tmp_path, capsys):
         "--out-prefix", str(tmp_path / "s"),
     ])
     assert code == cli.EXIT_INVARIANT
+
+
+def test_norms_rejects_wrong_payload_length_before_reading_it(
+    tmp_path, capsys, monkeypatch
+):
+    # a valid header of a 4 x 4 box, followed by too long or too short a payload
+    header = b"BDIV1" + struct.pack("<B", 2) + struct.pack("<2I", 4, 4)
+    header += struct.pack("<4d", 0.0, 0.0, 1.0, 1.0) + struct.pack("<B", 0)
+    asked = []
+
+    class SpyFile:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def read(self, size=-1):
+            asked.append(size)
+            return self._fh.read(size)
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+    monkeypatch.setattr(fields, "open", lambda *a: SpyFile(open(*a)), raising=False)
+    for payload in (bytes(2**20), bytes(8 * 16 - 8)):
+        path = tmp_path / "hostile.bdiv"
+        path.write_bytes(header + payload)
+        asked.clear()
+        code = run(["norms", "--input", str(path), "--kinds", "lp:2"])
+        assert code == cli.EXIT_INVARIANT
+        assert "payload bytes" in capsys.readouterr().err
+        assert asked and all(0 <= size <= len(header) for size in asked)
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):
@@ -343,3 +380,22 @@ def test_solve_minimize_false_convergence_breaks_certificate(
     assert verification["residual_claim_miss"] == 0.0
     assert verification["objective"] <= verification["trivial_bound"]
     assert verification["phi_tv"] > verification["certificate_bound"]
+
+
+def test_solve_reports_gap_met_next_to_converged(tmp_path, capsys):
+    data = _torus_input(tmp_path)
+    f = fields.read_field(data)
+    for method, extra in (("minimize", ["--lambda", "3.0"]), ("twostep", [])):
+        rep_path = tmp_path / f"{method}.json"
+        code = run(["solve", "--method", method, *extra, "--input", str(data),
+                    "--out-prefix", str(tmp_path / method), "--report", str(rep_path)])
+        assert code == cli.EXIT_OK
+        solver = json.loads(rep_path.read_text())["solver"]
+        keys = list(solver)
+        assert keys[keys.index("converged") + 1] == "gap_met"
+        if method == "minimize":
+            cfg = variational.VariationalConfig(lam=3.0)
+            expect = variational.minimize_flambda(f, cfg)[2].gap_met
+        else:
+            expect = variational.two_step(f)[1].gap_met
+        assert solver["gap_met"] is expect

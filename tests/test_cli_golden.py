@@ -1,8 +1,9 @@
 """Golden digests of `bdiv solve`: every method on seeded inputs writes the
 same bytes, exits with the same code and reports the same verification
 entries.  The pins were taken before the method table replaced the
-per-method branches of cmd_solve; a refactor of the CLI must leave them
-unchanged."""
+per-method branches of cmd_solve (those of the variational cases hier-p2,
+minimize-p2 and twostep re-taken when the root search changed its
+iteration path); a refactor of the CLI must leave them unchanged."""
 
 import hashlib
 import json
@@ -94,13 +95,13 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                        'ok': True,
                                        'vector_sup_norm': 0.12585535086358177}},
           'hier-p2': {'code': 0,
-                      'files': {'trace.csv': '73c47ea085127bfc84f43abb56fc538199397e991ea6dc9132ee0a5443cae565',
-                                'u1.bdiv': '412a5a71cc4d7ea96065f5eac031e9bf4af3ca61eb259232118604f6740dc22f',
-                                'u2.bdiv': 'd2a6463bb2a9e9952cea1d6e09a29d0e8c73187d31448521c1e40d3df6f86875'},
+                      'files': {'trace.csv': '2fcfbff8f12ffae7d67a6a47924674415d6e6a6735c2047a70df395c4bf32daa',
+                                'u1.bdiv': 'adcff557ff58d68907d68d6c894b9237715ff7d09efc9c29ba66032d7a6d9deb',
+                                'u2.bdiv': '0ddd78a73adfe5396c281adfa6d1293f763c6b2a477fe8f4bfe5a552a79bdf4c'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                      'verification': {'component_sup_norms': [0.12538864339880026, 0.12582958982522358],
+                      'verification': {'component_sup_norms': [0.12538887335275012, 0.1258294509488282],
                                        'ok': True,
-                                       'vector_sup_norm': 0.12612437308547456}},
+                                       'vector_sup_norm': 0.12612422384266186}},
           'inductive': {'code': 0,
                         'files': {'certs.csv': 'a8b608cc4cb3962f92fc1f091b94ce518381c0af4c1a6dfd210a5287fb7577f1',
                                   'f1.bdiv': '37f616af56fd5f0189cc63cc8eeb0fa73f6c465bad9b9e8b88c06e4ccd82c372',
@@ -128,13 +129,13 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                            'ok': True,
                                            'vector_sup_norm': 0.1273128810663302}},
           'minimize-p2': {'code': 0,
-                          'files': {'r.bdiv': '0f6e2954d80e09e6913db88267edf72bae2a7c39bf2dc319bf1f9be1c82b90da',
-                                    'u1.bdiv': '2149b4f81c445d3eb1ba0263e4f99868acd4f076e8a3a603feb257fb229d7763',
-                                    'u2.bdiv': '4fffebfe32e765a25ca69364c39c1d529d130cd2fdbac63e27c5df45e8970614'},
+                          'files': {'r.bdiv': '0be0d668c8e30f5f174b9d5d1578afe5f21d33d5553942ae568a702b2e1a28f2',
+                                    'u1.bdiv': '1d38179b180febb5b58c749fefce0e523cadc3d1435d486def92735e022ca3f1',
+                                    'u2.bdiv': 'd44d63bcd0f3d09a0cb5bac79015d156a9c9ed8c53adac0dc411a1df034a4c5d'},
                           'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                          'verification': {'component_sup_norms': [0.11926895945266024, 0.1192689594526601],
+                          'verification': {'component_sup_norms': [0.11926867401629493, 0.11926867401629493],
                                            'ok': True,
-                                           'vector_sup_norm': 0.11926895945266025}},
+                                           'vector_sup_norm': 0.11926867401629496}},
           'onestep2d': {'code': 0,
                         'files': {'certs.csv': 'abef8dc508ff467c30c6e936c720962be0e1571c2a2fe43b7baed18f549a39e3',
                                   'f1.bdiv': '02e930c859b7253f19982ac57930638c995d2830b229f2a20bb1152c16f726e3',
@@ -150,14 +151,14 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                          'ok': True,
                                          'vector_sup_norm': 0.7381158881565612}},
           'twostep': {'code': 0,
-                      'files': {'u1.bdiv': 'a032f1315be1a4e7470c614a51463e42c651bb9b596081d95516e0fb4af65cc1',
-                                'u2.bdiv': '23010df4de8bfed88bc35e56d955fc5a8a73e13be42bd5ae8129ca4172436be9'},
+                      'files': {'u1.bdiv': 'c5fe21bf024673dbbe57e28f9259b0a71e50ba4fb1bdcc913db0aa0d82a092b6',
+                                'u2.bdiv': 'ddc8ba462d2c95b7bb77e1685df3dfe42733de31db99e143fe7ff856ca566ad8'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                      'verification': {'component_sup_norms': [0.12924052472480596, 0.12595715350123607],
+                      'verification': {'component_sup_norms': [0.12924084240725564, 0.1259571523394786],
                                        'div_residual_rel': 1.7210284579395e-16,
                                        'div_residual_sup': 4.440892098500626e-16,
                                        'ok': True,
-                                       'vector_sup_norm': 0.12925835079341347}},
+                                       'vector_sup_norm': 0.12925867405907276}},
           'weakl2': {'code': 0,
                      'files': {'certs.csv': '8b987cd0c0b7dca47556244e095b861e83711f703498eefbd1bddee1eaafa2d3',
                                'f1.bdiv': '4240bef8c6aa89cce08d39a5eb9ce4ba519d10cef1ddb0014b20be7cb572b4ca',

@@ -1,8 +1,10 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from bdiv import variational
 from bdiv.examples import ball_field, nirenberg_field, random_field
 from bdiv.fields import (
     Grid,
@@ -200,12 +202,45 @@ class TestMinimize:
             assert np.abs(div.values + r.values - f.values).max() <= 1e-12
 
 
+def test_root_search_runs_tight_solves_only_near_the_root(monkeypatch):
+    # the `bdiv bench table1` settings on the Nirenberg 50^2 field, p = 2
+    calls = []  # (nu, gap_rel, TV(r), iterations) per inner solve
+    solve = variational._DualState.solve
+
+    def counted(state, nu, max_iters, gap_rel, check, tv_ref=0.0):
+        before = state.total_iters
+        tv = solve(state, nu, max_iters, gap_rel, check, tv_ref)
+        calls.append((nu, gap_rel, tv, state.total_iters - before))
+        return tv
+
+    monkeypatch.setattr(variational._DualState, "solve", counted)
+    f = nirenberg_field(50)
+    cfg = VariationalConfig(
+        lam=1.0 / lp_norm(f, 2), tol_objective=1e-6, tol_residual=0.02,
+        inner_iters=4000,
+    )
+    _, _, rep = minimize_flambda(f, cfg)
+    assert rep.converged
+    target = 1.0 / (2.0 * cfg.lam * lp_norm(f, 2))  # TV(r) at the root
+    band = 0.5 * cfg.tol_residual
+    tight = [c for c in calls if c[1] == cfg.tol_objective]
+    for nu, _, _, _ in tight:
+        cheap = [c for c in calls if c[0] == nu and c[1] == 1e-4]
+        assert len(cheap) == 1
+        assert abs(cheap[0][2] - target) <= 2.0 * band * target
+    assert max(Counter(c[0] for c in tight).values()) == 1
+    assert sum(c[3] for c in calls) == rep.iterations
+    assert rep.iterations <= 9550
+    # the final tight solve stops at the inner_iters cap
+    assert tight[-1][3] == cfg.inner_iters and not rep.gap_met
+
+
 # Bit-identity pins of minimize_flambda: SHA-256 of the C-order float64 bytes
 # of u (stacked (d, ...)) and r, and report.iterations.  Each grid is
 # (n, lo, hi, periodic); the data are seeded standard normals, mean-zero on
 # tori, with lam = 10 / (2 TV(f)) for p = 2 and 1.5 ||f||_2 / TV(f) for p = 1.
-# Taken before the stencils moved to index tuples and the FISTA loop stopped
-# allocating; a speed-up of either must leave them unchanged.
+# Re-taken when the root search stopped running tight solves far from the
+# root; a change that keeps the iteration path must leave them unchanged.
 PIN_GRIDS = {
     "torus1d": ((40,), -1.0, 1.0, True),
     "box2d": ((12, 12), -1.0, 1.0, False),
@@ -216,54 +251,54 @@ PIN_GRIDS = {
 
 SOLVER_PINS = {
     ("torus1d", 2): (
-        "b08c1aa4a307c6fecaa473617437b93ba35a04604407e3b58ee57e5bf34d1d22",
-        "988d9622210fd2ff7d3955badf5b5710e22d61df1d65fb53aa07426964cba3e9",
-        1250,
+        "9fa2daf7afbe4924eeff86e81a32002e7da1f5b0fd9aacca35fe32dce83687ec",
+        "0c55d730eb503b291fb4c3493d447646f815d2f70460ff313c1bd731f4406411",
+        1000,
     ),
     ("torus1d", 1): (
-        "1d312dbe24c1920a396210b54231f68c83d1a48ad8fbb4619f5c9fa7c3eb1e69",
-        "b76ddecf37df202a050faee48577c5e9b80f56bb2d6849d7dbd93155ef1d6431",
-        1300,
+        "4e3df52b1aded8478fd96f1cd4ea92693bb4d9d9fd312906e6993fddb3684a18",
+        "62dffbc701aac25ee024c32e5a721667c90dbc1107615c73a0a117baf55d224d",
+        1100,
     ),
     ("box2d", 2): (
-        "b51ab9d9b920d6f5f07351ede40ab2619129a3d8f43d6e72aaf88c5bf06ac42f",
-        "39d6a60711f10d91c7ec9043786cee24e12e546093c94006f932c48bbd7734cb",
-        4750,
-    ),
-    ("box2d", 1): (
-        "48634ae5ca63ece729ab4de1bca5991b4ea726ac3c4d61712d800eae84f1e579",
-        "2b5381628bae19c84781727c741258152cb4e7929e73a0d5dd3a03930b3a28fd",
-        2150,
-    ),
-    ("aniso2d", 2): (
-        "dc7235986b016dd881179e25196895d621f4164c60fa6907dd751417335feed5",
-        "27164927074ae0c43930f5c2c5be8cc4f377c017fab0762d40ca7f5c6e4fb78b",
-        3850,
-    ),
-    ("aniso2d", 1): (
-        "f812346533f238ed0e4df7d506e56d58c784f4695074d8c8cac185a5ff994d6f",
-        "166899dc47b18edc0e7054f25322d4a123ee28d9db3e7e611aa87a67b04736f8",
-        8000,
-    ),
-    ("torus3d", 2): (
-        "ca5b040b96114787f0392cd599d94d82fb87f83be27a6435253a3624fd7a18f6",
-        "5c68d41006e984408f5c59d9e5b007c870a8ecd3d96a3c9e78ed75cced408c55",
+        "8c688ce5b2e4b8848244a09afc04bf5d07021c1b89911c89f6cc4f6254ee5a45",
+        "1a6b6bcc51ac5652c20b519b4f7997efb37e6c113f87861a36eca52717f033e9",
         2050,
     ),
+    ("box2d", 1): (
+        "9a92bc3c338cc1cd23060b5bc9f8c81e827c2c512460b425cc9db2a6bfed0952",
+        "a471ff0c6a90dc3425c9723be911d9de37283fb8ae2f28182f4ad2053688eac1",
+        1650,
+    ),
+    ("aniso2d", 2): (
+        "1f6f0c575298d7e72e8ef7e7003fd7fb7c0f8a04fec9ee9de2e814fc498092f0",
+        "221d4dfc4cfec7b455cefb0b777fb006d893d74bcd816865a9d8ad1b819bcb2c",
+        3550,
+    ),
+    ("aniso2d", 1): (
+        "1e7a34dac3173496f39482fbe46ff0dec71347202ab894dcc17324b011954ad7",
+        "7ebc2dca5569e0047e2151fbe9018de8bc8b7dd6ec84020fcdc0170ebf695fba",
+        7500,
+    ),
+    ("torus3d", 2): (
+        "79e3a703c4441c6b848b5591d02f4d17c651a82f49caa6a9d06b74fff2f6788e",
+        "521c493a8fa3312f962afbb82909e94ceef330357b030518fa94cc18ea8ebc44",
+        1250,
+    ),
     ("torus3d", 1): (
-        "234ee59f799eb94c6fb29e06cc86a778852ad3c6e0de79b23bc4823f13c5ecb8",
-        "699f8c92040ecd0fec155bedd80a6f2fa13084aa1b86b18a81a436b82fcee645",
-        4300,
+        "a99c1519150f391edc4ab5f3e9118805fdffaad25280c0e62efdaeb678b9ce06",
+        "7710279a109a670ecbc9a98690c4fd6b71f695c9f78c3e0b102dde579d5af033",
+        1350,
     ),
     ("box3d", 2): (
-        "6fa9b477ef0a5f7dcef0aead3cd8fef186e3092d3f4303a181bd00d771f34688",
-        "e3a7492c0e6772bf4fc7004f425247ad1fcec6e1683f26ba3d5fffa387981dab",
-        7400,
+        "f28ccce0a5453e48ad97ae1c3c711289baa387f1519a3fd22dc921f795ce3470",
+        "e11862bac0dec2dcea3bae6e06f2a2adc6953104327d1be16b190c7af2e291a6",
+        4450,
     ),
     ("box3d", 1): (
-        "2f4df1a0c2c42353c33c31b34f303570d921bb4234c30f52da6ca61a30acb085",
-        "2f2c68d22a529a630cf3edaaec83429c090af911c00135393ee5eab5107532f6",
-        1750,
+        "8d93d24f800dcfb11c5238c8cf747943d64b7d704fe09f7ec1f58844ed83bf16",
+        "f6312643410e19203205cd8eb16e0ad02b9a76e4a980430c2a6d83e76b5de0e4",
+        1650,
     ),
 }
 

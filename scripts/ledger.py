@@ -7,6 +7,7 @@
     PYTHONPATH=src python scripts/ledger.py c2-tv
     PYTHONPATH=src python scripts/ledger.py c2-hier
     PYTHONPATH=src python scripts/ledger.py c8
+    PYTHONPATH=src python scripts/ledger.py probes
 
 Every run is single-threaded numpy and prints one line per measurement.
 """
@@ -25,6 +26,7 @@ from bdiv.variational import (
     helmholtz_solve,
     hierarchical_p2,
     minimize_flambda,
+    two_step,
 )
 
 # the solver settings of `bdiv bench table1`, and the data of criterion 2
@@ -124,6 +126,28 @@ def c8(args) -> None:
         print(f"k={k}: along +g {up:+.4f}, along -g {down:+.4f}")
 
 
+def _print_probes(label: str, rep) -> None:
+    tight = [q for q in rep.probes if q.gap != 1e-4]
+    last = [q for q in rep.probes if q.nu == rep.probes[-1].nu]
+    print(f"{label}: {len(rep.probes)} solves ({len(tight)} tight), "
+          f"{rep.iterations} iterations, {sum(q.iterations for q in last)} at "
+          f"the last nu; converged={rep.converged} gap_met={rep.gap_met}")
+
+
+def probes(args) -> None:
+    """Inner solves and iterations of the root search, read from the
+    report's probe records: `bench table1` at N = 50 and 100, and the
+    default config on the N = 64 field at p = 2 with the two-step lam =
+    1/||f||_2 and at p = 1 with lam = 4."""
+    for n in (50, 100):
+        _, rep = two_step(nirenberg_field(n), VariationalConfig(lam=1.0, **BENCH_CFG))
+        _print_probes(f"bench table1 N={n}", rep)
+    f = nirenberg_field(64)
+    for p, lam in ((2, 1.0 / lp_norm(f, 2)), (1, 4.0)):
+        _, _, rep = minimize_flambda(f, VariationalConfig(lam=lam, p=p))
+        _print_probes(f"N=64 p={p} lam={lam:.4g}", rep)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(required=True)
@@ -138,6 +162,7 @@ def main() -> None:
     sub.add_parser("c2-tv").set_defaults(func=c2_tv)
     sub.add_parser("c2-hier").set_defaults(func=c2_hier)
     sub.add_parser("c8").set_defaults(func=c8)
+    sub.add_parser("probes").set_defaults(func=probes)
     args = parser.parse_args()
     args.func(args)
 

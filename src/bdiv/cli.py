@@ -59,16 +59,19 @@ class RunManifest:
         if isinstance(content, fields.ScalarField):
             fields.write_field(content, path)
         else:
-            header, rows = content
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
+            _write_csv(path, *content)
         self.digest(path, "out")
 
     def finish(self, t0: float) -> dict:
         self.wall_time_s = time.perf_counter() - t0
         return asdict(self)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _emit_report(report: dict, path: str | None) -> None:
@@ -323,10 +326,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             rows.append([n, repr(helm), repr(two), f"{elapsed:.3f}", ""])
         except Exception as exc:  # record the failure, keep benching
             rows.append([n, "", "", f"{time.perf_counter() - t0:.3f}", str(exc)])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "helmholtz_ratio", "twostep_ratio", "runtime", "error"])
-        writer.writerows(rows)
+    header = ["N", "helmholtz_ratio", "twostep_ratio", "runtime", "error"]
+    _write_csv(args.out, header, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 

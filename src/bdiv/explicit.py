@@ -189,7 +189,7 @@ def _inductive_masks(g: np.ndarray, hs: tuple[float, ...]) -> list[np.ndarray]:
     return out + lower
 
 
-def split_inductive_nd(f: ScalarField, d: int | None = None) -> SplitResult:
+def split_inductive_nd(f: ScalarField) -> SplitResult:
     """Inductive threshold splitting for L^d data, d in {1, 2, 3}.
 
     After normalizing to unit L^d norm, cells with |f| above the per-line
@@ -199,12 +199,7 @@ def split_inductive_nd(f: ScalarField, d: int | None = None) -> SplitResult:
     arithmetic.
     """
     grid = f.grid
-    if d is None:
-        d = grid.d
-    if d != grid.d:
-        raise ValueError(f"dimension argument {d} does not match grid {grid.d}")
-    if d not in (1, 2, 3):
-        raise ValueError("supported dimensions are 1, 2, 3")
+    d = grid.d
     _require_box(f)
     bound = lp_norm(f, d)
     if bound == 0.0:

@@ -250,17 +250,16 @@ def forward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.nda
 
 def divergence_array(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Backward-difference divergence of a stacked (d, ...) component array."""
-    out = backward_diff(v[0], 0, grid.h[0], grid.periodic[0])
-    for a in range(1, grid.d):
-        out += backward_diff(v[a], a, grid.h[a], grid.periodic[a])
+    out = np.empty_like(v[0])
+    _divergence_into(v, grid, out, np.empty_like(out) if grid.d > 1 else None)
     return out
 
 
 def gradient_array(g: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward-difference gradient, stacked as a (d, ...) array."""
-    return np.stack(
-        [forward_diff(g, a, grid.h[a], grid.periodic[a]) for a in range(grid.d)]
-    )
+    out = np.empty((grid.d,) + g.shape)
+    _gradient_into(g, grid, out)
+    return out
 
 
 def discrete_divergence(v: VectorField) -> ScalarField:

@@ -88,7 +88,7 @@ def weak_lp_setnorm(f: ScalarField, p: float) -> float:
     return float(vals.max())
 
 
-def morrey_norm(f: ScalarField, dim: int | None = None) -> float:
+def morrey_norm(f: ScalarField) -> float:
     """sup over discrete balls of R^(1-d) * int_{B cap Omega} |f|.
 
     Ball centers range over cell centers and radii over integer multiples of
@@ -96,9 +96,6 @@ def morrey_norm(f: ScalarField, dim: int | None = None) -> float:
     search is a lower bound of the continuum supremum.
     """
     grid = f.grid
-    d = grid.d if dim is None else int(dim)
-    if d != grid.d:
-        raise ValueError(f"dim {d} does not match grid dimension {grid.d}")
     coords = np.stack([c.ravel() for c in grid.meshgrid()], axis=1)
     absf = np.abs(f.values).ravel()
     vol = grid.cell_volume
@@ -111,7 +108,7 @@ def morrey_norm(f: ScalarField, dim: int | None = None) -> float:
         order = np.argsort(dist)
         csum = np.cumsum(absf[order])
         idx = np.searchsorted(dist[order], radii, side="right")
-        vals = radii ** (1 - d) * csum[np.maximum(idx, 1) - 1] * vol
+        vals = radii ** (1 - grid.d) * csum[np.maximum(idx, 1) - 1] * vol
         vals[idx == 0] = 0.0
         best = max(best, float(vals.max()))
     return best

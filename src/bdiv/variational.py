@@ -41,6 +41,9 @@ from .norms import lp_norm, sup_magnitude, sup_norm_vector, tv_norm
 # |phi_1(r)|_TV = TV(r) / ||r||_2 certifies nothing
 SATURATION_TOL = 1e-3
 
+# FISTA iterations between duality-gap checks of an inner solve
+CHECK_EVERY = 50
+
 
 @dataclass
 class VariationalConfig:
@@ -58,7 +61,6 @@ class VariationalConfig:
     tol_objective: float = 1e-7
     tol_residual: float = 0.01
     inner_iters: int = 8000
-    check_every: int = 50
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -70,13 +72,35 @@ class VariationalConfig:
 
 
 @dataclass
+class Probe:
+    """One inner solve of the root search, at nu on the unit-normalized data.
+
+    gap is the relative duality gap asked (1e-4 for the cheap solve,
+    tol_objective for the tight one) and gap_met whether it was reached;
+    defect is the certificate defect, positive while nu is below the root,
+    and scale its natural size; saturated flags a vanished p = 1 residual;
+    objective is that of the iterate on the caller's data.
+    """
+
+    nu: float
+    gap: float
+    gap_met: bool
+    iterations: int
+    defect: float
+    scale: float
+    saturated: bool
+    objective: float
+
+
+@dataclass
 class SolverReport:
     """Outcome of one minimization: certificates and convergence record.
 
     converged means the returned residual lies in the certificate band (or,
     for p = 1, is saturated); gap_met means the inner solve behind the
     returned u reached the duality-gap tolerance tol_objective rather than
-    stopping at its iteration cap or only at the cheap gap.
+    stopping at its iteration cap or only at the cheap gap.  probes holds
+    one record per inner solve of the root search, in the order they ran.
     """
 
     iterations: int
@@ -87,7 +111,7 @@ class SolverReport:
     converged: bool
     gap_met: bool
     trivial: bool = False
-    objective_history: list[float] = field(default_factory=list)
+    probes: list[Probe] = field(default_factory=list)
 
 
 @dataclass
@@ -100,8 +124,6 @@ class HierarchyConfig:
     stop_residual: float = 1e-3
     gamma_assumed: float | None = None
     lam: float | None = None
-    max_iters: int = 200_000
-    tol_residual: float = 0.01
 
     def __post_init__(self):
         if self.max_levels < 1:
@@ -167,8 +189,6 @@ class _DualState:
         self.vol = grid.cell_volume
         self.lips = sum(4.0 / h**2 for h in grid.h)  # ||div||^2
         self.w = np.zeros((grid.d,) + grid.n)
-        self.total_iters = 0
-        self.gap_met = False
         self._r = np.empty(grid.n)
         self._tmp = np.empty(grid.n) if grid.d > 1 else None
         self._g = np.empty((grid.d,) + grid.n)
@@ -207,25 +227,19 @@ class _DualState:
         return tv, gap
 
     def solve(
-        self,
-        nu: float,
-        max_iters: int,
-        gap_rel: float,
-        check: int,
-        tv_ref: float = 0.0,
-    ) -> float:
-        """Run FISTA from the current w; returns the achieved TV(r).
+        self, nu: float, max_iters: int, gap_rel: float, tv_ref: float
+    ) -> tuple[float, int, bool]:
+        """Run FISTA from the current w; returns the achieved TV(r), the
+        iterations run and whether the duality gap reached its threshold.
 
         Stops when the duality gap falls below gap_rel times the natural
         scale nu * max(TV(r), tv_ref); tv_ref keeps the threshold sane when
         the residual collapses past saturation.  Momentum restarts when the
         gradient-mapping direction turns against the last step.  With no
         iterations allowed it only evaluates TV(r) of the current w.
-        Sets gap_met to whether the duality gap reached its threshold.
         """
-        self.gap_met = False
         if max_iters <= 0:
-            return self.tv_and_gap(nu)[0]
+            return self.tv_and_gap(nu)[0], 0, False
         step = 1.0 / (nu * self.lips)  # descent step times nu folded in
         w = self.w.copy()
         wy = w.copy()
@@ -253,16 +267,12 @@ class _DualState:
             wy += w_new
             w, w_new = w_new, w
             tmom = tnew
-            if it % check == 0 or it == max_iters:
+            if it % CHECK_EVERY == 0 or it == max_iters:
                 self.w = w
                 tv, gap = self.tv_and_gap(nu)
                 if gap <= gap_rel * max(nu * max(tv, tv_ref), 1e-300):
-                    self.gap_met = True
-                    self.total_iters += it
-                    return tv
-        self.w = w
-        self.total_iters += max_iters
-        return tv
+                    return tv, it, True
+        return tv, max_iters, False
 
 
 def minimize_flambda(
@@ -284,8 +294,11 @@ def minimize_flambda(
     goes on to the gap tol_objective only when the cheap certificate defect
     lies within twice the band 0.5 tol_residual of zero; the search stops at
     the first probe inside the band, so that verdict always rests on a
-    tight solve.  report.gap_met says whether that solve reached
-    tol_objective or stopped at the inner_iters cap.
+    tight solve.  Every inner solve appends one Probe to report.probes, and
+    the search reads its state from them: the duality-gap floor of each
+    solve, saturation, and the returned u, that of the feasible record of
+    least objective the narrowing found.  report.gap_met says whether the
+    solve behind u reached tol_objective or stopped at the inner_iters cap.
     """
     grid = f.grid
     lam, p = cfg.lam, cfg.p
@@ -310,57 +323,62 @@ def minimize_flambda(
     state = _DualState(farr, grid)
     band = 0.5 * cfg.tol_residual
 
-    # saturation: for p = 1 the fidelity is an exact penalty, so past a
-    # finite nu the residual vanishes identically; such nu are flagged as
-    # feasible and the search closes in on the smallest one.
-    t_floor = (1.0 / (2.0 * lam_eff)) if p == 2 else SATURATION_TOL / lam_eff
-    t_ref = 1.0 / (2.0 * lam_eff) if p == 2 else 1.0 / lam_eff
-    saturated = False
+    # the TV(r) the certificate asks for: 1/(2 lam) for p = 2, and for p = 1
+    # ||r||_2 / lam, here at r = f.  Saturation: for p = 1 the fidelity is
+    # an exact penalty, so past a finite nu the residual vanishes
+    # identically; such nu are flagged as feasible and the search closes in
+    # on the smallest one.
+    target = 1.0 / (2.0 * lam_eff) if p == 2 else 1.0 / lam_eff
+    t_floor = target if p == 2 else SATURATION_TOL / lam_eff
+    probes: list[Probe] = []
 
-    def defect_of(tv: float, nu: float) -> tuple[float, float]:
-        nonlocal t_ref, saturated
-        if p == 2:
-            t = 1.0 / (2.0 * lam_eff)
-            saturated = False
-        else:
-            rnorm = lp_norm(ScalarField(grid, state.residual(nu)), 2)
-            t = rnorm / lam_eff
-            saturated = rnorm <= SATURATION_TOL
-            if saturated:
-                return -max(t, t_floor), max(t, t_floor)
-            t_ref = max(t, t_floor)
-        return tv - t, max(t, t_floor)
+    def used() -> int:
+        return sum(q.iterations for q in probes)
 
     def budget() -> int:
-        return min(cfg.inner_iters, cfg.max_iters - state.total_iters)
+        return min(cfg.inner_iters, cfg.max_iters - used())
 
-    def probe(nu: float) -> tuple[float, float, bool]:
-        """Solve at nu; return (certificate defect, its scale, whether the
-        gap cfg.tol_objective was reached).  The defect is positive while
-        nu is below the root.  A cheap solve (gap 1e-4, TV(r) to a few 1e-4
-        relative) settles the sign wherever the defect lies outside twice
-        the certificate band; only inside it does the solve continue to
-        cfg.tol_objective.  No solve runs past cfg.max_iters."""
-        tv = state.solve(nu, budget(), 1e-4, cfg.check_every, t_ref)
-        d, scale = defect_of(tv, nu)
-        if abs(d) > 2.0 * band * scale or saturated or budget() <= 0:
-            return d, scale, False
-        tv = state.solve(nu, budget(), cfg.tol_objective, cfg.check_every, t_ref)
-        return (*defect_of(tv, nu), state.gap_met)
+    def solve(nu: float, gap: float) -> Probe:
+        """One inner solve at nu to the relative gap, recorded in probes.
+        Its gap floor is the scale of the last unsaturated record."""
+        tv_ref = next((q.scale for q in reversed(probes) if not q.saturated), target)
+        tv, iters, met = state.solve(nu, budget(), gap, tv_ref)
+        r = state.residual(nu)
+        rnorm = lp_norm(ScalarField(grid, r), 2) if p == 1 else 0.0
+        t = target if p == 2 else rnorm / lam_eff
+        saturated = p == 1 and rnorm <= SATURATION_TOL
+        scale = max(t, t_floor)
+        objective = _report_objective(
+            (nu * fnorm) * state.w, ScalarField(grid, fnorm * r), lam, p
+        )
+        rec = Probe(nu=nu, gap=gap, gap_met=met, iterations=iters,
+                    defect=-scale if saturated else tv - t, scale=scale,
+                    saturated=saturated, objective=objective)
+        probes.append(rec)
+        return rec
+
+    def probe(nu: float) -> Probe:
+        """Solve at nu; return the last record.  A cheap solve (gap 1e-4,
+        TV(r) to a few 1e-4 relative) settles the sign of the defect
+        wherever it lies outside twice the certificate band; only inside it
+        does the solve continue to cfg.tol_objective.  No solve runs past
+        cfg.max_iters."""
+        rec = solve(nu, 1e-4)
+        if abs(rec.defect) > 2.0 * band * rec.scale or rec.saturated or budget() <= 0:
+            return rec
+        return solve(nu, cfg.tol_objective)
 
     # defect at nu = 0 is free: r = f
-    tv_f = tv_norm(ScalarField(grid, farr), "isotropic")
-    d_lo = tv_f - (1.0 / (2.0 * lam_eff) if p == 2 else 1.0 / lam_eff)
+    d_lo = tv_norm(ScalarField(grid, farr), "isotropic") - target
     nu_lo = 0.0
 
     # expanding bracket: defect > 0 at nu_lo, <= 0 at nu_hi
     nu = 0.25
     converged = False
-    history: list[float] = []
-    best: tuple[float, np.ndarray, float, bool] | None = None
+    best: tuple[Probe, np.ndarray] | None = None
     d_hi = d_lo
-    while state.total_iters < cfg.max_iters:
-        d_hi, scale, _ = probe(nu)
+    while used() < cfg.max_iters:
+        d_hi = probe(nu).defect
         if d_hi <= 0:
             break
         nu_lo, d_lo, nu = nu, d_hi, 2.0 * nu
@@ -369,17 +387,16 @@ def minimize_flambda(
     nu_hi = nu
 
     side = 0  # Illinois false position on the bracketed certificate defect
-    while state.total_iters < cfg.max_iters:
+    while used() < cfg.max_iters:
         if d_hi < 0 < d_lo:
             nu = nu_hi - d_hi * (nu_hi - nu_lo) / (d_hi - d_lo)
             width = nu_hi - nu_lo
             nu = min(max(nu, nu_lo + 0.02 * width), nu_hi - 0.02 * width)
         else:
             nu = 0.5 * (nu_lo + nu_hi)
-        d, scale, met = probe(nu)
-        obj = _objective_value(state, nu, lam_eff, p, grid)
-        history.append(obj if not history else min(obj, history[-1]))
-        in_band = abs(d) <= band * scale and not saturated
+        rec = probe(nu)
+        d = rec.defect
+        in_band = abs(d) <= band * rec.scale and not rec.saturated
         if d > 0:
             nu_lo, d_lo = nu, d
             if side == -1:
@@ -390,23 +407,20 @@ def minimize_flambda(
             if side == 1:
                 d_lo *= 0.5
             side = 1
-        if (d <= 0 or in_band) and (best is None or obj < best[0]):
-            best = (obj, state.w.copy(), nu, met)
+        if (d <= 0 or in_band) and (best is None or rec.objective < best[0].objective):
+            best = (rec, state.w.copy())
         tiny = (nu_hi - nu_lo) <= 1e-14 * max(nu_hi, 1.0)
         # exact-penalty optimum: the residual vanished at a bracketed edge
-        sat_edge = saturated and (nu_hi - nu_lo) <= 1e-3 * max(nu_hi, 1e-300)
+        sat_edge = rec.saturated and (nu_hi - nu_lo) <= 1e-3 * max(nu_hi, 1e-300)
         if in_band or tiny or sat_edge:
             converged = in_band or sat_edge
             break
 
-    if best is None:  # budget exhausted on the infeasible side
-        _, _, met = probe(nu_hi)
-        obj = _objective_value(state, nu_hi, lam_eff, p, grid)
-        best = (obj, state.w.copy(), nu_hi, met)
-        converged = False
-    state.w, nu = best[1], best[2]
+    if best is None:  # budget exhausted on the infeasible side; not converged
+        best = (probe(nu_hi), state.w)
+    rec, w = best
 
-    u_arr = (nu * fnorm) * state.w
+    u_arr = (rec.nu * fnorm) * w
     r_arr = f.values - divergence_array(u_arr, grid)
     r_field = ScalarField(grid, r_arr)
     obj = _report_objective(u_arr, r_field, lam, p)
@@ -416,25 +430,16 @@ def minimize_flambda(
         obj = lam * fnorm**p
         converged = False
     report = SolverReport(
-        iterations=state.total_iters,
+        iterations=used(),
         objective=obj,
         u_sup=sup_magnitude(u_arr),
         r_norm=lp_norm(r_field, 2),
         phi_tv=_phi_p_tv(r_field, p),
         converged=converged,
-        gap_met=best[3],
-        objective_history=[h * fnorm for h in history],
+        gap_met=rec.gap_met and rec.gap <= cfg.tol_objective,
+        probes=probes,
     )
     return VectorField.from_arrays(grid, list(u_arr)), r_field, report
-
-
-def _objective_value(
-    state: _DualState, nu: float, lam_eff: float, p: int, grid: Grid
-) -> float:
-    r = state.residual(nu)
-    fit = float(np.sum(r * r)) * grid.cell_volume
-    fid = lam_eff * fit if p == 2 else lam_eff * np.sqrt(fit)
-    return nu * sup_magnitude(state.w) + fid
 
 
 def _report_objective(u_arr: np.ndarray, r: ScalarField, lam: float, p: int) -> float:
@@ -535,6 +540,7 @@ def two_step(
         phi_tv=rep.phi_tv,
         converged=rep.converged,
         gap_met=rep.gap_met,
+        probes=rep.probes,
     )
     return u, report
 
@@ -555,7 +561,7 @@ def _stripe_closure_witness(grid: Grid) -> float:
     return best / (8.0 * np.sqrt(area))
 
 
-def estimate_eta(f: ScalarField, cfg: HierarchyConfig) -> float:
+def estimate_eta(f: ScalarField) -> float:
     """Closure-constant estimate: one probe minimization well above the
     trivial threshold (where residuals are already flat), doubled for
     safety, floored by the exact stripe witness of the grid.
@@ -566,10 +572,7 @@ def estimate_eta(f: ScalarField, cfg: HierarchyConfig) -> float:
     tv0 = _phi_p_tv(f, 2)
     if tv0 == 0.0:
         return 1.0
-    probe_cfg = VariationalConfig(
-        lam=64.0 / tv0, max_iters=cfg.max_iters, tol_residual=cfg.tol_residual
-    )
-    _, r, _ = minimize_flambda(f, probe_cfg)
+    _, r, _ = minimize_flambda(f, VariationalConfig(lam=64.0 / tv0))
     tv_r = _phi_p_tv(r, 2)
     probe = 1.0 if tv_r == 0.0 else 2.0 * lp_norm(r, 2) / tv_r
     return max(probe, _stripe_closure_witness(f.grid))
@@ -593,10 +596,7 @@ def _level_loop(
     stalled = 0
     for j in range(1, cfg.max_levels + 1):
         lam_j = lam_of(j)
-        sub = VariationalConfig(
-            lam=lam_j, p=p, max_iters=cfg.max_iters, tol_residual=cfg.tol_residual
-        )
-        u_j, r_j, rep = minimize_flambda(r_prev, sub)
+        u_j, r_j, rep = minimize_flambda(r_prev, VariationalConfig(lam=lam_j, p=p))
         total += u_j.as_array()
         r_norm = lp_norm(r_j, 2)
         ratio = r_norm / prev_norm if prev_norm > 0 else 0.0
@@ -634,7 +634,7 @@ def hierarchical_p2(
     if fnorm == 0.0:
         return VectorField.zeros(f.grid), trace
 
-    eta = cfg.eta if cfg.eta is not None else estimate_eta(f, cfg)
+    eta = cfg.eta if cfg.eta is not None else estimate_eta(f)
     trace.eta_used = eta
     lam1 = cfg.lambda1 if cfg.lambda1 is not None else 2.0 * eta / fnorm
 

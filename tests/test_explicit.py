@@ -226,11 +226,6 @@ class TestInductive:
         for p1, p3 in zip(res1.parts, res3.parts):
             assert np.allclose(3.0 * p1.values, p3.values, rtol=1e-12)
 
-    def test_rejects_mismatched_dimension(self):
-        f = box_field(n=(4, 4), seed=1)
-        with pytest.raises(ValueError):
-            split_inductive_nd(f, d=3)
-
 
 class TestWeakL2Strips:
     def test_all_rows_small_single_pass(self):

@@ -135,10 +135,6 @@ class TestMorrey:
             )
             assert morrey_norm(f) == pytest.approx(expect, rel=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            morrey_norm(rand_field(), dim=3)
-
 
 class TestTV:
     def test_constant_vanishes(self):

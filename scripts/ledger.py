@@ -9,18 +9,25 @@
     PYTHONPATH=src python scripts/ledger.py c8
     PYTHONPATH=src python scripts/ledger.py probes
 
-Every run is single-threaded numpy and prints one line per measurement.
+Every run is single-threaded numpy (the solver's restart test calls BLAS,
+so the thread variables are pinned to 1 unless set) and prints one line
+per measurement.
 """
 
-import argparse
-import time
+import os
 
-import numpy as np
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy loads its BLAS
 
-from bdiv.examples import ball_field, nirenberg_field, tatar_pair
-from bdiv.fields import ScalarField, VectorField
-from bdiv.norms import lp_norm, sup_norm_vector, tv_norm, weak_lp_setnorm
-from bdiv.variational import (
+import argparse  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from bdiv.examples import ball_field, nirenberg_field, tatar_pair  # noqa: E402
+from bdiv.fields import ScalarField, VectorField  # noqa: E402
+from bdiv.norms import lp_norm, sup_norm_vector, tv_norm, weak_lp_setnorm  # noqa: E402
+from bdiv.variational import (  # noqa: E402
     HierarchyConfig,
     VariationalConfig,
     helmholtz_solve,

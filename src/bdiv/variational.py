@@ -177,10 +177,16 @@ class _DualState:
     """Warm-startable projected-FISTA solve of min_{|w(x)|<=1}
     0.5 ||f - nu div w||^2 on unit-normalized data.
 
-    The inner loop allocates nothing: div/grad are the in-place stencils of
-    ``fields`` on preallocated buffers, the restart product and the
-    momentum update reuse one difference buffer, and the duality-gap check
-    works in the gradient buffer.
+    The pointwise magnitude |w(x)|_2 is the formula of ``norms``: the square
+    root of the squared components summed in axis order (np.abs for d = 1),
+    so the TV the solver reports is ``tv_norm(r, "isotropic")`` bit for bit.
+    The restart sign comes from two dot products over one difference buffer,
+    which the momentum update reuses.
+
+    The inner loop allocates nothing.  Scratch buffers, allocated once: _r
+    holds the residual; _tmp is the per-axis scratch of _divergence_into;
+    _g holds the gradient, in which the duality-gap check also works; _sq
+    holds the squared components of _magnitude_into; _mag the magnitude.
     """
 
     def __init__(self, farr: np.ndarray, grid: Grid):
@@ -190,21 +196,23 @@ class _DualState:
         self.lips = sum(4.0 / h**2 for h in grid.h)  # ||div||^2
         self.w = np.zeros((grid.d,) + grid.n)
         self._r = np.empty(grid.n)
+        # scratch of _divergence_into only
         self._tmp = np.empty(grid.n) if grid.d > 1 else None
         self._g = np.empty((grid.d,) + grid.n)
+        self._sq = np.empty((grid.d,) + grid.n) if grid.d > 1 else None
         self._mag = np.empty(grid.n)
 
     def _magnitude_into(self, g: np.ndarray, out: np.ndarray) -> None:
+        """out <- pointwise l2 magnitude of the stacked (d, ...) array g."""
         if self.grid.d == 1:
             np.abs(g[0], out=out)
-        elif self.grid.d == 2:
-            np.hypot(g[0], g[1], out=out)
-        else:
-            np.multiply(g[0], g[0], out=out)
-            for c in g[1:]:
-                np.multiply(c, c, out=self._tmp)
-                out += self._tmp
-            np.sqrt(out, out=out)
+            return
+        sq = self._sq
+        np.multiply(g, g, out=sq)
+        np.add(sq[0], sq[1], out=out)
+        for c in sq[2:]:
+            out += c
+        np.sqrt(out, out=out)
 
     def _residual_into(self, w: np.ndarray, nu: float) -> np.ndarray:
         """self._r <- f - nu div w."""
@@ -256,11 +264,10 @@ class _DualState:
             self._magnitude_into(w_new, mag)
             np.maximum(mag, 1.0, out=mag)
             w_new /= mag_b
-            # restart when the implicit gradient step opposes the movement
+            # restart when the implicit gradient step opposes the movement:
+            # <wy - w_new, w_new - w> > 0, as two dot products
             np.subtract(w_new, w, out=dw)
-            wy -= w_new
-            wy *= dw
-            restart = float(wy.sum()) > 0.0
+            restart = np.vdot(wy, dw) > np.vdot(w_new, dw)
             tnew = 1.0 if restart else 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tmom * tmom))
             coef = 0.0 if restart else (tmom - 1.0) / tnew
             np.multiply(dw, coef, out=wy)

@@ -1,15 +1,15 @@
 """Benchmark snapshot: writes BENCH_<pr>.json at the repository root.
 
     python3 scripts/bench_snapshot.py --pr 8
-    python3 scripts/bench_snapshot.py --pr 8 --parent ../bdiv-parent --runs 10
+    python3 scripts/bench_snapshot.py --pr 8 --parent ../bdiv-parent
 
 For each checkout measured (this one, labelled "change", and with --parent
 that one too, labelled "parent") it records:
 
-- per workload of perfbench/run.py, --runs runs at --trace 0, each in a
+- per workload of perfbench/run.py, RUNS runs at --trace 0, each in a
   fresh process with the BENCHMARK.json run length: the median and
   quartiles of every end-to-end metric, the output digest of each seed
-  (run k uses --seed + k) and ops_failed_frac;
+  (run k uses seed k) and ops_failed_frac;
 - per workload, one --trace 1 run: the per-layer count metrics (exact, so
   one run suffices);
 - one layer row: ns per cell per iteration of one projected-FISTA solve
@@ -19,12 +19,15 @@ that one too, labelled "parent") it records:
 
 With --parent every round runs both checkouts, alternating which goes
 first, so the two columns are paired.  Every child process is
-single-threaded numpy.  The file also records nproc, Python and numpy.
+single-threaded numpy.  Each column names the commit of its checkout and
+the SHA-256 of the src/ files it measured; the file also records nproc,
+Python and numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -38,8 +41,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+RUNS = 10  # paired runs per workload
 FISTA_SIZES = (32, 64, 128, 256)
 FISTA_NU = 0.06  # near the root of the Table-1 two-step first solve
+FISTA_ITERS = 200
+FISTA_REPEATS = 3  # timed solves per size and run
 
 # one timed FISTA solve per repeat, from a fresh zero dual field, so every
 # repeat does the same work; argv: sizes, nu, iterations, repeats
@@ -91,9 +97,9 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float,
     return result
 
 
-def fista_layer(tree: Path, iters: int, repeats: int) -> dict:
+def fista_layer(tree: Path) -> dict:
     cmd = [sys.executable, "-c", FISTA_LAYER, ",".join(map(str, FISTA_SIZES)),
-           repr(FISTA_NU), str(iters), str(repeats)]
+           repr(FISTA_NU), str(FISTA_ITERS), str(FISTA_REPEATS)]
     proc = subprocess.run(cmd, cwd=tree, env=child_env(tree), capture_output=True,
                           text=True, check=True)
     return json.loads(proc.stdout)
@@ -105,14 +111,25 @@ def summary(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
+def src_sha256(tree: Path) -> str:
+    """SHA-256 over the relative path and bytes of every .py file in src/."""
+    h = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        h.update(path.relative_to(tree).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def git_state(tree: Path) -> dict:
-    """HEAD of the checkout, and whether its sources differ from HEAD."""
+    """HEAD of the checkout, whether its sources differ from HEAD, and the
+    hash of the sources measured."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree,
                           capture_output=True, text=True, check=False)
     diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src"],
                           cwd=tree, capture_output=True, check=False)
     return {"commit": head.stdout.strip() or None,
-            "src_modified": diff.returncode != 0}
+            "src_modified": diff.returncode != 0,
+            "src_sha256": src_sha256(tree)}
 
 
 def workload_names(tree: Path) -> tuple[list[str], float]:
@@ -120,22 +137,20 @@ def workload_names(tree: Path) -> tuple[list[str], float]:
     return [w["name"] for w in spec["workloads"]], spec["run_seconds"]
 
 
-def measure(trees: dict[str, Path], args) -> dict:
-    names, run_seconds = workload_names(ROOT)
-    seconds = args.seconds or run_seconds
+def measure(trees: dict[str, Path], pr: int) -> dict:
+    names, seconds = workload_names(ROOT)
     raw = {label: {w: [] for w in names} for label in trees}
     fista = {label: {n: [] for n in FISTA_SIZES} for label in trees}
     order = list(trees)
-    for k in range(args.runs):
-        labels = order if k % 2 == 0 else order[::-1]
+    for seed in range(1, RUNS + 1):
+        labels = order if seed % 2 else order[::-1]
         for w in names:
             for label in labels:
-                print(f"run {k + 1}/{args.runs} {w} {label}", file=sys.stderr)
+                print(f"run {seed}/{RUNS} {w} {label}", file=sys.stderr)
                 raw[label][w].append(
-                    run_perfbench(trees[label], w, args.seed + k, seconds, 0))
+                    run_perfbench(trees[label], w, seed, seconds, 0))
         for label in labels:
-            for n, values in fista_layer(trees[label], args.fista_iters,
-                                         args.fista_repeats).items():
+            for n, values in fista_layer(trees[label]).items():
                 fista[label][int(n)].extend(values)
 
     columns = {}
@@ -147,15 +162,15 @@ def measure(trees: dict[str, Path], args) -> dict:
             attempted = sum(r["attempted"] for r in runs)
             failed = sum(r["failed"] for r in runs)
             print(f"traced {w} {label}", file=sys.stderr)
-            traced = run_perfbench(tree, w, args.seed, 1.0, 1)
+            traced = run_perfbench(tree, w, 1, 1.0, 1)
             workloads[w] = {
                 "metrics": {
                     m: dict(unit=units[m], **summary(
                         [r["metrics"][m]["value"] for r in runs]))
                     for m in units
                 },
-                "digests": {str(args.seed + k): r["digest"]
-                            for k, r in enumerate(runs)},
+                "digests": {str(seed): r["digest"]
+                            for seed, r in enumerate(runs, start=1)},
                 "correct": all(r["correct"] for r in runs),
                 "ops_failed_frac": failed / attempted if attempted else 0.0,
                 "counts": {m: v["value"] for m, v in traced["metrics"].items()
@@ -171,7 +186,7 @@ def measure(trees: dict[str, Path], args) -> dict:
             },
         }
     return {
-        "pr": args.pr,
+        "pr": pr,
         "env": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
@@ -179,9 +194,9 @@ def measure(trees: dict[str, Path], args) -> dict:
             "threads": 1,
         },
         "settings": {
-            "runs": args.runs, "seconds": seconds, "seed": args.seed,
-            "fista_nu": FISTA_NU, "fista_iters": args.fista_iters,
-            "fista_repeats_per_run": args.fista_repeats,
+            "runs": RUNS, "seconds": seconds, "seeds": list(range(1, RUNS + 1)),
+            "fista_nu": FISTA_NU, "fista_iters": FISTA_ITERS,
+            "fista_repeats_per_run": FISTA_REPEATS,
         },
         "columns": columns,
     }
@@ -192,19 +207,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--parent", type=Path, default=None,
                         help="checkout of the parent commit to measure alongside")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="perfbench run length (default: BENCHMARK.json)")
-    parser.add_argument("--fista-iters", type=int, default=200)
-    parser.add_argument("--fista-repeats", type=int, default=3)
     args = parser.parse_args(argv)
-    if args.runs < 2 or args.fista_iters <= 0 or args.fista_repeats <= 0:
-        parser.error("need --runs >= 2 and positive FISTA iterations and repeats")
     trees = {"change": ROOT}
     if args.parent is not None:
         trees = {"parent": args.parent.resolve(), "change": ROOT}
-    snapshot = measure(trees, args)
+    snapshot = measure(trees, args.pr)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {out.name}", file=sys.stderr)

@@ -180,13 +180,13 @@ class _DualState:
     The pointwise magnitude |w(x)|_2 is the formula of ``norms``: the square
     root of the squared components summed in axis order (np.abs for d = 1),
     so the TV the solver reports is ``tv_norm(r, "isotropic")`` bit for bit.
-    The restart sign comes from two dot products over one difference buffer,
-    which the momentum update reuses.
+    The restart sign is one dot product <wy - w_new, w_new - w>, taken in
+    place in wy and a difference buffer which the momentum update reuses.
 
     The inner loop allocates nothing.  Scratch buffers, allocated once: _r
-    holds the residual; _tmp is the per-axis scratch of _divergence_into;
-    _g holds the gradient, in which the duality-gap check also works; _sq
-    holds the squared components of _magnitude_into; _mag the magnitude.
+    holds the residual; _tmp is the per-component scratch of
+    _divergence_into and _magnitude_into; _g holds the gradient, in which
+    the duality-gap check also works; _mag the magnitude.
     """
 
     def __init__(self, farr: np.ndarray, grid: Grid):
@@ -196,10 +196,9 @@ class _DualState:
         self.lips = sum(4.0 / h**2 for h in grid.h)  # ||div||^2
         self.w = np.zeros((grid.d,) + grid.n)
         self._r = np.empty(grid.n)
-        # scratch of _divergence_into only
+        # per-component scratch of _divergence_into and _magnitude_into
         self._tmp = np.empty(grid.n) if grid.d > 1 else None
         self._g = np.empty((grid.d,) + grid.n)
-        self._sq = np.empty((grid.d,) + grid.n) if grid.d > 1 else None
         self._mag = np.empty(grid.n)
 
     def _magnitude_into(self, g: np.ndarray, out: np.ndarray) -> None:
@@ -207,11 +206,10 @@ class _DualState:
         if self.grid.d == 1:
             np.abs(g[0], out=out)
             return
-        sq = self._sq
-        np.multiply(g, g, out=sq)
-        np.add(sq[0], sq[1], out=out)
-        for c in sq[2:]:
-            out += c
+        np.multiply(g[0], g[0], out=out)
+        for c in g[1:]:
+            np.multiply(c, c, out=self._tmp)
+            out += self._tmp
         np.sqrt(out, out=out)
 
     def _residual_into(self, w: np.ndarray, nu: float) -> np.ndarray:
@@ -265,9 +263,10 @@ class _DualState:
             np.maximum(mag, 1.0, out=mag)
             w_new /= mag_b
             # restart when the implicit gradient step opposes the movement:
-            # <wy - w_new, w_new - w> > 0, as two dot products
+            # <wy - w_new, w_new - w> > 0 (wy is overwritten below)
             np.subtract(w_new, w, out=dw)
-            restart = np.vdot(wy, dw) > np.vdot(w_new, dw)
+            wy -= w_new
+            restart = np.vdot(wy, dw) > 0.0
             tnew = 1.0 if restart else 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tmom * tmom))
             coef = 0.0 if restart else (tmom - 1.0) / tnew
             np.multiply(dw, coef, out=wy)

@@ -244,9 +244,9 @@ def test_root_search_runs_tight_solves_only_near_the_root():
 # (n, lo, hi, periodic); the data are seeded standard normals, mean-zero on
 # tori, with lam = 10 / (2 TV(f)) for p = 2 and 1.5 ||f||_2 / TV(f) for p = 1.
 # Re-taken when the root search stopped running tight solves far from the
-# root, and the 2-D and torus1d-p1 pins again when the 2-D magnitude and the
-# restart test changed their rounding (same iterations); a change that keeps
-# the iteration path must leave them unchanged.
+# root, and the 2-D pins again when the 2-D magnitude changed its rounding
+# (same iterations); a change that keeps the iteration path must leave them
+# unchanged.
 PIN_GRIDS = {
     "torus1d": ((40,), -1.0, 1.0, True),
     "box2d": ((12, 12), -1.0, 1.0, False),
@@ -262,8 +262,8 @@ SOLVER_PINS = {
         1000,
     ),
     ("torus1d", 1): (
-        "83ddde886b1e127fd70ea329568a4a41b17686da4f511dfc5d5c60b559811c5c",
-        "7eec819aa7fd6d6bd11aaf6bc43c056e6f989a93689c6381f0809c210e674def",
+        "4e3df52b1aded8478fd96f1cd4ea92693bb4d9d9fd312906e6993fddb3684a18",
+        "62dffbc701aac25ee024c32e5a721667c90dbc1107615c73a0a117baf55d224d",
         1100,
     ),
     ("box2d", 2): (
@@ -378,7 +378,7 @@ print(hashlib.sha256(u.as_array().tobytes()).hexdigest(), rep.iterations)
 
 
 def test_restart_sign_independent_of_blas_threads():
-    """The restart test's dot products go to BLAS, which may split a dot
+    """The restart test's dot product goes to BLAS, which may split a dot
     product of more than 10,000 entries across threads; on a 72^2 torus the
     dual field has 10,368, and the solve must not depend on the split."""
     env = dict(os.environ, PYTHONPATH=str(Path(bdiv.__file__).parents[1]))
@@ -386,7 +386,8 @@ def test_restart_sign_independent_of_blas_threads():
     for threads in ("1", "2"):
         proc = subprocess.run(
             [sys.executable, "-c", _BLAS_THREADS_SOLVE],
-            env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                     MKL_NUM_THREADS=threads),
             capture_output=True, text=True, timeout=120, check=True,
         )
         outs.append(proc.stdout.split())

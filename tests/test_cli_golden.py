@@ -4,8 +4,8 @@ entries.  The pins were taken before the method table replaced the
 per-method branches of cmd_solve (those of the variational cases hier-p2,
 minimize-p2 and twostep re-taken when the root search changed its
 iteration path, and those of all five variational cases when the solver's
-2-D magnitude and its restart test changed their rounding); a refactor of
-the CLI must leave them unchanged."""
+2-D magnitude changed its rounding); a refactor of the CLI must leave them
+unchanged."""
 
 import hashlib
 import json

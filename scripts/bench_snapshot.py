@@ -12,10 +12,13 @@ that one too, labelled "parent") it records:
   (run k uses seed k) and ops_failed_frac;
 - per workload, one --trace 1 run: the per-layer count metrics (exact, so
   one run suffices);
-- one layer row: ns per cell per iteration of one projected-FISTA solve
+- two layer rows: ns per cell per iteration of one projected-FISTA solve
   (_DualState.solve) at fixed nu on the Nirenberg field at 32^2, 64^2,
   128^2 and 256^2, the duality-gap check every CHECK_EVERY iterations
-  included.
+  included; and ms per norms.morrey_norm call on the seed-1 spikes field
+  at 32^2, 48^2, 64^2, 128^2 and 256^2, the two largest sizes in the first
+  MORREY_RUNS rounds only (the argsort-per-centre body took minutes at
+  256^2).
 
 With --parent every round runs both checkouts, alternating which goes
 first, so the two columns are paired.  Every child process is
@@ -46,6 +49,8 @@ FISTA_SIZES = (32, 64, 128, 256)
 FISTA_NU = 0.06  # near the root of the Table-1 two-step first solve
 FISTA_ITERS = 200
 FISTA_REPEATS = 3  # timed solves per size and run
+MORREY_SIZES = (32, 48, 64, 128, 256)
+MORREY_RUNS = {128: 3, 256: 1}  # rounds that time these sizes; others: RUNS
 
 # one timed FISTA solve per repeat, from a fresh zero dual field, so every
 # repeat does the same work; argv: sizes, nu, iterations, repeats
@@ -74,6 +79,22 @@ print(json.dumps(out))
 """
 
 
+# one timed morrey_norm call per size; argv: sizes
+MORREY_LAYER = """
+import json, sys, time
+from bdiv.examples import random_field
+from bdiv.norms import morrey_norm
+
+out = {}
+for n in map(int, sys.argv[1].split(",")):
+    f = random_field(1, n, law="spikes")
+    t0 = time.perf_counter()
+    morrey_norm(f)
+    out[n] = (time.perf_counter() - t0) * 1e3
+print(json.dumps(out))
+"""
+
+
 def child_env(tree: Path | None = None) -> dict:
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     if tree is not None:
@@ -97,16 +118,29 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float,
     return result
 
 
-def fista_layer(tree: Path) -> dict:
-    cmd = [sys.executable, "-c", FISTA_LAYER, ",".join(map(str, FISTA_SIZES)),
-           repr(FISTA_NU), str(FISTA_ITERS), str(FISTA_REPEATS)]
-    proc = subprocess.run(cmd, cwd=tree, env=child_env(tree), capture_output=True,
-                          text=True, check=True)
+def layer(tree: Path, script: str, *args) -> dict:
+    """Run a layer script in a child process on the checkout at tree."""
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=tree,
+                          env=child_env(tree), capture_output=True, text=True,
+                          check=True)
     return json.loads(proc.stdout)
+
+
+def fista_layer(tree: Path) -> dict:
+    return layer(tree, FISTA_LAYER, ",".join(map(str, FISTA_SIZES)),
+                 repr(FISTA_NU), str(FISTA_ITERS), str(FISTA_REPEATS))
+
+
+def morrey_layer(tree: Path, seed: int) -> dict:
+    sizes = [n for n in MORREY_SIZES if seed <= MORREY_RUNS.get(n, RUNS)]
+    return layer(tree, MORREY_LAYER, ",".join(map(str, sizes)))
 
 
 def summary(values: list[float]) -> dict:
     """Median and quartiles (inclusive method) of the runs, with the runs."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0],
+                "runs": values}
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
@@ -141,6 +175,7 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
     names, seconds = workload_names(ROOT)
     raw = {label: {w: [] for w in names} for label in trees}
     fista = {label: {n: [] for n in FISTA_SIZES} for label in trees}
+    morrey = {label: {n: [] for n in MORREY_SIZES} for label in trees}
     order = list(trees)
     for seed in range(1, RUNS + 1):
         labels = order if seed % 2 else order[::-1]
@@ -152,6 +187,8 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
         for label in labels:
             for n, values in fista_layer(trees[label]).items():
                 fista[label][int(n)].extend(values)
+            for n, ms in morrey_layer(trees[label], seed).items():
+                morrey[label][int(n)].append(ms)
 
     columns = {}
     for label, tree in trees.items():
@@ -183,6 +220,9 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
                 "variational.fista_ns_per_cell_iter": {
                     f"{n}x{n}": summary(fista[label][n]) for n in FISTA_SIZES
                 },
+                "norms.morrey_ms_per_call": {
+                    f"{n}x{n}": summary(morrey[label][n]) for n in MORREY_SIZES
+                },
             },
         }
     return {
@@ -197,6 +237,7 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
             "runs": RUNS, "seconds": seconds, "seeds": list(range(1, RUNS + 1)),
             "fista_nu": FISTA_NU, "fista_iters": FISTA_ITERS,
             "fista_repeats_per_run": FISTA_REPEATS,
+            "morrey_runs": {str(n): MORREY_RUNS.get(n, RUNS) for n in MORREY_SIZES},
         },
         "columns": columns,
     }

@@ -175,7 +175,9 @@ def _solve_hierarchy(run, f, args, lam) -> Solution:
     r_last = levels[-1]["r_norm"] if levels else trace.f_norm
     report["residual_rel"] = r_last / trace.f_norm if levels else 0.0
     columns = [c.name for c in dataclasses.fields(variational.LevelRecord)]
-    table = (columns, ([repr(v) for v in rec.values()] for rec in levels))
+    # numpy scalars as Python numbers, so every cell is a plain number
+    table = (columns, ([repr(v.item() if isinstance(v, np.generic) else v)
+                        for v in rec.values()] for rec in levels))
     return Solution(u, report=report, files={"trace": table}, residual=r_last,
                     converged=not (trace.stagnated or trace.lambda_too_small))
 

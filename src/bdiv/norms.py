@@ -9,6 +9,8 @@ error is introduced anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -88,29 +90,69 @@ def weak_lp_setnorm(f: ScalarField, p: float) -> float:
     return float(vals.max())
 
 
+def _squared_steps(x: np.ndarray) -> list[np.ndarray]:
+    """(x[i+k] - x[i])**2 for each k = 0 .. len(x)-1, indexed by i."""
+    return [np.square(x[k:] - x[: x.size - k]) for k in range(x.size)]
+
+
+def _shifts(k: int, n: int) -> list[tuple[slice, slice]]:
+    """(centre, cell) slices along an axis of n cells for the offsets +k, -k."""
+    if k == 0:
+        return [(slice(None), slice(None))]
+    return [(slice(0, n - k), slice(k, n)), (slice(k, n), slice(0, n - k))]
+
+
 def morrey_norm(f: ScalarField) -> float:
     """sup over discrete balls of R^(1-d) * int_{B cap Omega} |f|.
 
     Ball centers range over cell centers and radii over integer multiples of
     min(h); a cell belongs to the ball when its center does.  This bounded
     search is a lower bound of the continuum supremum.
+
+    Membership is the float test sqrt(sum_a (x_a - c_a)^2) <= R on the
+    centre coordinates, squares added in axis order, so a cell whose centre
+    lies at distance R falls inside or outside by rounding.  The ball sums
+    at every centre grow in one array, a shifted slice-add per cell offset
+    taken ring by ring in increasing radius: O(offsets x cells) work, with
+    prod(2 n_a - 1) offsets; balls do not wrap on periodic axes.
     """
     grid = f.grid
-    coords = np.stack([c.ravel() for c in grid.meshgrid()], axis=1)
-    absf = np.abs(f.values).ravel()
+    absf = np.abs(f.values)
     vol = grid.cell_volume
     rstep = min(grid.h)
     rmax = float(np.linalg.norm(np.asarray(grid.hi) - np.asarray(grid.lo)))
     radii = rstep * np.arange(1, int(np.ceil(rmax / rstep)) + 2)
+    steps = [_squared_steps(grid.axis_centers(a)) for a in range(grid.d)]
+    shifts = [[_shifts(k, n) for k in range(n)] for n in grid.n]
+
+    # Float + and sqrt are monotone, so the per-axis extremes over centres
+    # bound the distance at every centre of an offset |k|; the ring of an
+    # offset is decided whole unless a radius falls between its bounds.
+    def ring(pick):
+        sq = reduce(np.add.outer, [np.array([pick(s) for s in a]) for a in steps])
+        return np.searchsorted(radii, np.sqrt(sq), side="left")
+
+    first, last = ring(np.min), ring(np.max)
+    rings: list[list] = [[] for _ in radii]  # (|offset|, centre mask or None)
+    for k in np.ndindex(first.shape):
+        if first[k] == last[k]:
+            rings[first[k]].append((k, None))
+            continue
+        sq = reduce(np.add.outer, [s[ka] for s, ka in zip(steps, k)])
+        at = np.searchsorted(radii, np.sqrt(sq), side="left")
+        for j in range(first[k], last[k] + 1):
+            rings[j].append((k, at == j))
+
+    sums = np.zeros(grid.n)
+    weights = radii ** (1 - grid.d)
     best = 0.0
-    for c in coords:
-        dist = np.linalg.norm(coords - c, axis=1)
-        order = np.argsort(dist)
-        csum = np.cumsum(absf[order])
-        idx = np.searchsorted(dist[order], radii, side="right")
-        vals = radii ** (1 - grid.d) * csum[np.maximum(idx, 1) - 1] * vol
-        vals[idx == 0] = 0.0
-        best = max(best, float(vals.max()))
+    for w, members in zip(weights, rings):
+        for k, inside in members:
+            for pairs in product(*[s[ka] for s, ka in zip(shifts, k)]):
+                dst, src = zip(*pairs)
+                add = absf[src] if inside is None else np.where(inside, absf[src], 0.0)
+                sums[dst] += add
+        best = max(best, float(w * sums.max() * vol))
     return best
 
 

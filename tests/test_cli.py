@@ -266,6 +266,21 @@ def test_hierarchy_trace_csv(tmp_path, capsys):
     assert len(rows) - 1 == len(rep["trace"]["levels"])
 
 
+@pytest.mark.parametrize("method", ["hier-p2", "hier-p1"])
+def test_hierarchy_trace_csv_cells_are_numbers(tmp_path, method, capsys):
+    data = tmp_path / "f.bdiv"
+    run(["gen", "--kind", "random", "--n", "12", "--seed", "12", "--periodic",
+         "--mean-zero", "--out", str(data)])
+    assert run(["solve", "--method", method, "--input", str(data),
+                "--out-prefix", str(tmp_path / "h")]) == 0
+    with open(tmp_path / "h_trace.csv") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert rows and all(len(row) == len(header) for row in rows)
+    for row in rows:
+        for cell in row:
+            float(cell)
+
+
 def test_manifest_command_is_parsed_argv(tmp_path, capsys):
     data = tmp_path / "f.bdiv"
     gen = ["gen", "--kind", "random", "--n", "12", "--seed", "3",

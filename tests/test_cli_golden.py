@@ -4,8 +4,9 @@ entries.  The pins were taken before the method table replaced the
 per-method branches of cmd_solve (those of the variational cases hier-p2,
 minimize-p2 and twostep re-taken when the root search changed its
 iteration path, and those of all five variational cases when the solver's
-2-D magnitude changed its rounding); a refactor of the CLI must leave them
-unchanged."""
+2-D magnitude changed its rounding, and the hier-p2 trace.csv when its lam
+column stopped being written as a numpy scalar repr); a refactor of the
+CLI must leave them unchanged."""
 
 import hashlib
 import json
@@ -97,7 +98,7 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                        'ok': True,
                                        'vector_sup_norm': 0.12585535086358174}},
           'hier-p2': {'code': 0,
-                      'files': {'trace.csv': '17c0f535c8f8a0e37ba42f99bc97ae132221b0121164a4912d4abe37df023af3',
+                      'files': {'trace.csv': 'd3e9150076ee4804af76abb9d20e0258aebd99902eb3e873ca287ea3a19bd924',
                                 'u1.bdiv': '4f46535f0177dd735505dc18a365e6ffa22f29941335c5c9bdbbb5974d8f3ed7',
                                 'u2.bdiv': '82db1b685898d2eca5376a979d9f2658ba27c05ea91b2c3bc13e27fa05840419'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',

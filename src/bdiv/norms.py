@@ -125,33 +125,39 @@ def morrey_norm(f: ScalarField) -> float:
     steps = [_squared_steps(grid.axis_centers(a)) for a in range(grid.d)]
     shifts = [[_shifts(k, n) for k in range(n)] for n in grid.n]
 
+    def ring(per_axis):
+        """Index of the first radius >= the distance, squares added in axis
+        order (outer sums over the per-axis arrays)."""
+        dist = np.sqrt(reduce(np.add.outer, per_axis))
+        return np.searchsorted(radii, dist, side="left")
+
     # Float + and sqrt are monotone, so the per-axis extremes over centres
-    # bound the distance at every centre of an offset |k|; the ring of an
-    # offset is decided whole unless a radius falls between its bounds.
-    def ring(pick):
-        sq = reduce(np.add.outer, [np.array([pick(s) for s in a]) for a in steps])
-        return np.searchsorted(radii, np.sqrt(sq), side="left")
-
-    first, last = ring(np.min), ring(np.max)
-    rings: list[list] = [[] for _ in radii]  # (|offset|, centre mask or None)
-    for k in np.ndindex(first.shape):
-        if first[k] == last[k]:
-            rings[first[k]].append((k, None))
-            continue
-        sq = reduce(np.add.outer, [s[ka] for s, ka in zip(steps, k)])
-        at = np.searchsorted(radii, np.sqrt(sq), side="left")
-        for j in range(first[k], last[k] + 1):
-            rings[j].append((k, at == j))
-
+    # bound the distance at every centre of an offset |k|: its ring is
+    # decided whole unless a radius falls between the two bounds.
+    first = ring([np.array([s.min() for s in a]) for a in steps])
+    last = ring([np.array([s.max() for s in a]) for a in steps])
+    order = np.argsort(first, axis=None, kind="stable")
+    edges = np.searchsorted(first.ravel()[order], np.arange(radii.size + 1))
     sums = np.zeros(grid.n)
-    weights = radii ** (1 - grid.d)
+
+    def add(k, inside):
+        for pairs in product(*[s[ka] for s, ka in zip(shifts, k)]):
+            dst, src = zip(*pairs)
+            part = absf[src]
+            sums[dst] += part if inside is None else np.where(inside, part, 0.0)
+
     best = 0.0
-    for w, members in zip(weights, rings):
-        for k, inside in members:
-            for pairs in product(*[s[ka] for s, ka in zip(shifts, k)]):
-                dst, src = zip(*pairs)
-                add = absf[src] if inside is None else np.where(inside, absf[src], 0.0)
-                sums[dst] += add
+    split = []  # (|offset|, ring at each centre) of offsets across rings
+    for j, w in enumerate(radii ** (1 - grid.d)):
+        reached = np.unravel_index(order[edges[j] : edges[j + 1]], first.shape)
+        for k in zip(*[a.tolist() for a in reached]):
+            if last[k] == j:
+                add(k, None)
+            else:
+                split.append((k, ring([s[ka] for s, ka in zip(steps, k)])))
+        for k, at in split:
+            add(k, at == j)
+        split = [(k, at) for k, at in split if last[k] > j]
         best = max(best, float(w * sums.max() * vol))
     return best
 

@@ -13,9 +13,9 @@ that one too, labelled "parent") it records:
 - per workload, one --trace 1 run: the per-layer count metrics (exact, so
   one run suffices);
 - two layer rows: ns per cell per iteration of one projected-FISTA solve
-  (_DualState.solve) at fixed nu on the Nirenberg field at 32^2, 64^2,
-  128^2 and 256^2, the duality-gap check every CHECK_EVERY iterations
-  included; and ms per norms.morrey_norm call on the seed-1 spikes field
+  (_DualState.solve) at fixed nu on the Nirenberg field at 16^2 (the size
+  of hierarchy-small), 32^2, 64^2, 128^2 and 256^2, the duality-gap check
+  every CHECK_EVERY iterations included; and ms per norms.morrey_norm call on the seed-1 spikes field
   at 32^2, 48^2, 64^2, 128^2 and 256^2, the two largest sizes in the first
   MORREY_RUNS rounds only (the argsort-per-centre body took minutes at
   256^2).
@@ -45,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 RUNS = 10  # paired runs per workload
-FISTA_SIZES = (32, 64, 128, 256)
+FISTA_SIZES = (16, 32, 64, 128, 256)
 FISTA_NU = 0.06  # near the root of the Table-1 two-step first solve
 FISTA_ITERS = 200
 FISTA_REPEATS = 3  # timed solves per size and run

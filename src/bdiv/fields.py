@@ -7,11 +7,13 @@ Conventions used throughout the package:
 * divergence is the backward difference, gradient the forward difference;
   the pair is an exact adjoint (up to sign) both on periodic grids and on
   boxes with the zero-outside extension,
-* this module holds the only implementation of that stencil pair, in the
-  in-place form ``_*_into(..., out)``: a few ufunc calls on the slices 1:,
-  :-1, :1 and -1: along the axis, taken through index tuples built once per
-  (ndim, axis); the functions below allocate and call it, and solver hot
-  loops call it on preallocated buffers,
+* this module holds the only implementation of that stencil pair,
+  ``_diff_calls``: it binds, once, the few ufunc calls on the slices 1:,
+  :-1, :1 and -1: along the axis (index tuples built once per (ndim,
+  axis)) that write a difference into a preallocated buffer; the in-place
+  ``_*_into(..., out)`` forms run those calls, the functions below
+  allocate and call them, and solver hot loops keep the bound lists of
+  ``_divergence_calls``/``_gradient_calls`` and rerun them,
 * reductions go through ``np.sum`` (fixed pairwise tree), so results are
   bit-stable across runs.
 """
@@ -196,17 +198,59 @@ def _axis_slices(ndim: int, axis: int) -> tuple[tuple[slice, ...], ...]:
     )
 
 
+def _diff_calls(
+    src: np.ndarray, axis: int, h: float, periodic: bool, out: np.ndarray,
+    forward: bool,
+) -> list[Callable[[], np.ndarray]]:
+    """Bound ufunc calls that set out to the backward (forward) difference
+    of src along axis divided by h: one subtract, one edge fix and one
+    division, over views taken here once."""
+    tail, head, first, last = _axis_slices(src.ndim, axis)
+    inner, edge = (head, last) if forward else (tail, first)
+    calls = [functools.partial(np.subtract, src[tail], src[head], out[inner])]
+    if periodic:  # edge slices, not src[0]: in 1-D that is a scalar out= rejects
+        calls.append(functools.partial(np.subtract, src[first], src[last], out[edge]))
+    elif forward:  # x * -1.0 is -x; numpy 2.4.6's np.negative misreads 64-byte strides
+        calls.append(functools.partial(np.multiply, src[last], -1.0, out[edge]))
+    else:
+        calls.append(functools.partial(np.copyto, out[edge], src[first]))
+    calls.append(functools.partial(np.divide, out, h, out))
+    return calls
+
+
+def _divergence_calls(
+    v: np.ndarray, grid: Grid, out: np.ndarray, tmp: np.ndarray | None
+) -> list[Callable[[], np.ndarray]]:
+    """Bound calls setting out to the divergence of the stacked (d, ...)
+    array v; tmp is scratch."""
+    calls = _diff_calls(v[0], 0, grid.h[0], grid.periodic[0], out, False)
+    for a in range(1, grid.d):
+        calls += _diff_calls(v[a], a, grid.h[a], grid.periodic[a], tmp, False)
+        calls.append(functools.partial(np.add, out, tmp, out))
+    return calls
+
+
+def _gradient_calls(
+    g: np.ndarray, grid: Grid, out: np.ndarray
+) -> list[Callable[[], np.ndarray]]:
+    """Bound calls setting out to the forward-difference gradient of g,
+    stacked as (d, ...)."""
+    calls = []
+    for a in range(grid.d):
+        calls += _diff_calls(g, a, grid.h[a], grid.periodic[a], out[a], True)
+    return calls
+
+
+def _run(calls) -> None:
+    for call in calls:
+        call()
+
+
 def _backward_diff_into(
     src: np.ndarray, axis: int, h: float, periodic: bool, out: np.ndarray
 ) -> np.ndarray:
     """out <- backward difference of src along axis, divided by h."""
-    tail, head, first, last = _axis_slices(src.ndim, axis)
-    np.subtract(src[tail], src[head], out=out[tail])
-    if periodic:  # edge slices, not src[0]: in 1-D that is a scalar out= rejects
-        np.subtract(src[first], src[last], out=out[first])
-    else:
-        out[first] = src[first]
-    out /= h
+    _run(_diff_calls(src, axis, h, periodic, out, False))
     return out
 
 
@@ -214,13 +258,7 @@ def _forward_diff_into(
     src: np.ndarray, axis: int, h: float, periodic: bool, out: np.ndarray
 ) -> np.ndarray:
     """out <- forward difference of src along axis, divided by h."""
-    tail, head, first, last = _axis_slices(src.ndim, axis)
-    np.subtract(src[tail], src[head], out=out[head])
-    if periodic:
-        np.subtract(src[first], src[last], out=out[last])
-    else:  # x * -1.0 is -x; numpy 2.4.6's np.negative misreads 64-byte strides
-        np.multiply(src[last], -1.0, out=out[last])
-    out /= h
+    _run(_diff_calls(src, axis, h, periodic, out, True))
     return out
 
 
@@ -228,16 +266,12 @@ def _divergence_into(
     v: np.ndarray, grid: Grid, out: np.ndarray, tmp: np.ndarray | None
 ) -> None:
     """out <- divergence of the stacked (d, ...) array v; tmp is scratch."""
-    _backward_diff_into(v[0], 0, grid.h[0], grid.periodic[0], out)
-    for a in range(1, grid.d):
-        _backward_diff_into(v[a], a, grid.h[a], grid.periodic[a], tmp)
-        out += tmp
+    _run(_divergence_calls(v, grid, out, tmp))
 
 
 def _gradient_into(g: np.ndarray, grid: Grid, out: np.ndarray) -> None:
     """out <- forward-difference gradient of g, stacked as (d, ...)."""
-    for a in range(grid.d):
-        _forward_diff_into(g, a, grid.h[a], grid.periodic[a], out[a])
+    _run(_gradient_calls(g, grid, out))
 
 
 def backward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:

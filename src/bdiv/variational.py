@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -30,8 +31,10 @@ from .fields import (
     Grid,
     ScalarField,
     VectorField,
+    _divergence_calls,
     _divergence_into,
-    _gradient_into,
+    _gradient_calls,
+    _run,
     divergence_array,
 )
 from .norms import lp_norm, sup_magnitude, sup_norm_vector, tv_norm
@@ -183,10 +186,24 @@ class _DualState:
     The restart sign is one dot product <wy - w_new, w_new - w>, taken in
     place in wy and a difference buffer which the momentum update reuses.
 
-    The inner loop allocates nothing.  Scratch buffers, allocated once: _r
-    holds the residual; _tmp is the per-component scratch of
-    _divergence_into and _magnitude_into; _g holds the gradient, in which
-    the duality-gap check also works; _mag the magnitude.
+    The iteration is built once and then only run: its ufunc calls are
+    bound, with the array views they work on, as argument-free
+    functools.partial objects.  Bound at construction: the divergence of
+    the extrapolated point _wy into the residual _r (through _tmp) and the
+    gradient of _r into _g, from ``fields``' one stencil builder, and the
+    magnitude of _g into _mag for the duality-gap check.  Bound at the
+    start of each solve, since they depend on nu and the step: r *= -nu
+    and r += f, then the gradient step, the magnitude, the clip at 1, the
+    divide and the two restart subtractions, once for each parity of the
+    w/w_new swap.  Called directly: np.vdot and the coefficient-dependent
+    momentum update.
+
+    The arrays are allocated at construction; a solve allocates none.  w is
+    one of the two swap buffers _w2, and a solve starts from whichever it is; _wy holds the
+    extrapolated point, _dw the step w_new - w; _r the residual; _tmp the
+    per-component scratch of the divergence and the magnitude; _g the
+    gradient, in which the duality-gap check also works; _mag the
+    magnitude.
     """
 
     def __init__(self, farr: np.ndarray, grid: Grid):
@@ -194,23 +211,29 @@ class _DualState:
         self.grid = grid
         self.vol = grid.cell_volume
         self.lips = sum(4.0 / h**2 for h in grid.h)  # ||div||^2
-        self.w = np.zeros((grid.d,) + grid.n)
+        shape = (grid.d,) + grid.n
+        self._w2 = (np.zeros(shape), np.empty(shape))
+        self.w = self._w2[0]
+        self._wy = np.empty(shape)
+        self._dw = np.empty(shape)
         self._r = np.empty(grid.n)
-        # per-component scratch of _divergence_into and _magnitude_into
         self._tmp = np.empty(grid.n) if grid.d > 1 else None
-        self._g = np.empty((grid.d,) + grid.n)
+        self._g = np.empty(shape)
         self._mag = np.empty(grid.n)
+        self._div_wy = _divergence_calls(self._wy, grid, self._r, self._tmp)
+        self._grad_r = _gradient_calls(self._r, grid, self._g)
+        self._mag_g = self._magnitude_calls(self._g)
 
-    def _magnitude_into(self, g: np.ndarray, out: np.ndarray) -> None:
-        """out <- pointwise l2 magnitude of the stacked (d, ...) array g."""
+    def _magnitude_calls(self, g: np.ndarray) -> list[Callable]:
+        """Bound calls setting _mag to the pointwise l2 magnitude of the
+        stacked (d, ...) array g."""
+        mag, tmp = self._mag, self._tmp
         if self.grid.d == 1:
-            np.abs(g[0], out=out)
-            return
-        np.multiply(g[0], g[0], out=out)
+            return [partial(np.abs, g[0], mag)]
+        calls = [partial(np.multiply, g[0], g[0], mag)]
         for c in g[1:]:
-            np.multiply(c, c, out=self._tmp)
-            out += self._tmp
-        np.sqrt(out, out=out)
+            calls += [partial(np.multiply, c, c, tmp), partial(np.add, mag, tmp, mag)]
+        return calls + [partial(np.sqrt, mag, mag)]
 
     def _residual_into(self, w: np.ndarray, nu: float) -> np.ndarray:
         """self._r <- f - nu div w."""
@@ -224,13 +247,35 @@ class _DualState:
         return self._residual_into(self.w, nu).copy()
 
     def tv_and_gap(self, nu: float) -> tuple[float, float]:
+        self._residual_into(self.w, nu)
+        _run(self._grad_r)
+        _run(self._mag_g)
         g = self._g
-        _gradient_into(self._residual_into(self.w, nu), self.grid, g)
-        self._magnitude_into(g, self._mag)
         tv = float(self._mag.sum()) * self.vol
         g *= self.w
         gap = nu * (tv + float(g.sum()) * self.vol)
         return tv, gap
+
+    def _iteration_calls(
+        self, nu: float, step: float, w: np.ndarray, w_new: np.ndarray
+    ) -> list[Callable]:
+        """Bound calls of one iteration up to the restart dot product: the
+        residual and gradient at _wy, w_new <- the projected gradient step
+        from _wy, and the restart terms _dw <- w_new - w, _wy <- _wy - w_new."""
+        r, g, wy, mag = self._r, self._g, self._wy, self._mag
+        return [
+            *self._div_wy,
+            partial(np.multiply, r, -nu, r),
+            partial(np.add, r, self.farr, r),
+            *self._grad_r,
+            partial(np.multiply, g, -step, w_new),
+            partial(np.add, w_new, wy, w_new),
+            *self._magnitude_calls(w_new),
+            partial(np.maximum, mag, 1.0, out=mag),  # positional out deprecated
+            partial(np.divide, w_new, mag[None], w_new),
+            partial(np.subtract, w_new, w, self._dw),
+            partial(np.subtract, wy, w_new, wy),
+        ]
 
     def solve(
         self, nu: float, max_iters: int, gap_rel: float, tv_ref: float
@@ -247,34 +292,27 @@ class _DualState:
         if max_iters <= 0:
             return self.tv_and_gap(nu)[0], 0, False
         step = 1.0 / (nu * self.lips)  # descent step times nu folded in
-        w = self.w.copy()
-        wy = w.copy()
-        w_new = np.empty_like(w)
-        dw = np.empty_like(w)
-        g, mag, grid = self._g, self._mag, self.grid
-        mag_b = mag[None]
+        w2, wy, dw = self._w2, self._wy, self._dw
+        calls = (
+            self._iteration_calls(nu, step, w2[0], w2[1]),
+            self._iteration_calls(nu, step, w2[1], w2[0]),
+        )
+        k = 0 if self.w is w2[0] else 1  # w is w2[k], w_new w2[1 - k]
+        np.copyto(wy, self.w)
         tmom = 1.0
         tv = np.inf
         for it in range(1, max_iters + 1):
-            _gradient_into(self._residual_into(wy, nu), grid, g)
-            np.multiply(g, -step, out=w_new)
-            w_new += wy
-            self._magnitude_into(w_new, mag)
-            np.maximum(mag, 1.0, out=mag)
-            w_new /= mag_b
-            # restart when the implicit gradient step opposes the movement:
-            # <wy - w_new, w_new - w> > 0 (wy is overwritten below)
-            np.subtract(w_new, w, out=dw)
-            wy -= w_new
+            for call in calls[k]:
+                call()
             restart = np.vdot(wy, dw) > 0.0
             tnew = 1.0 if restart else 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tmom * tmom))
             coef = 0.0 if restart else (tmom - 1.0) / tnew
             np.multiply(dw, coef, out=wy)
-            wy += w_new
-            w, w_new = w_new, w
+            k = 1 - k
+            wy += w2[k]
             tmom = tnew
             if it % CHECK_EVERY == 0 or it == max_iters:
-                self.w = w
+                self.w = w2[k]
                 tv, gap = self.tv_and_gap(nu)
                 if gap <= gap_rel * max(nu * max(tv, tv_ref), 1e-300):
                     return tv, it, True

@@ -20,6 +20,7 @@ from bdiv.fields import (
 )
 from bdiv.norms import lp_norm, sup_norm_vector, tv_norm
 from bdiv.variational import (
+    CHECK_EVERY,
     HierarchyConfig,
     VariationalConfig,
     _DualState,
@@ -30,6 +31,7 @@ from bdiv.variational import (
     minimize_flambda,
     two_step,
 )
+from oracles import fista_reference, fista_tv_and_gap
 
 
 def torus_field(n=16, seed=0):
@@ -359,6 +361,53 @@ def test_solver_tv_is_tv_norm(name):
             state.solve(nu, 20, 0.0, 1.0)
             want = tv_norm(ScalarField(grid, state.residual(nu)), "isotropic")
             assert state.tv_and_gap(nu)[0] == want
+
+
+BUFFER_GRIDS = {
+    **TV_GRIDS,
+    "box1d": ((40,), -1.0, 1.0, False),
+    "torus1d": ((33,), 0.0, 2.0, True),
+}
+
+# warm-started solves (nu, max_iters, gap_rel): odd and even iteration
+# counts, none and one, a gap check passed before the cap, and two gap
+# exits, one from each parity of the w/w_new swap; the second solve starts
+# on the second swap buffer, with the first one stale, at a nu where the
+# first restart test would read the stale buffer differently
+BUFFER_SOLVES = (
+    (0.01, 1, 0.0),
+    (0.05, 37, 0.0),
+    (0.02, 300, 1e-3),
+    (0.05, 0, 0.0),
+    (0.05, 63, 0.0),
+    (0.03, 251, 1e-2),
+    (0.03, 2, 0.0),
+)
+
+
+@pytest.mark.parametrize("name", BUFFER_GRIDS)
+def test_bound_buffers_match_reference_loop(name):
+    """Successive warm-started solves on one _DualState, whose w is one of
+    the two swap buffers when the next solve starts, give bit for bit the
+    iterates, TV and gap of the unbound reference loop."""
+    n, lo, hi, periodic = BUFFER_GRIDS[name]
+    grid = Grid(n, lo, hi, periodic=periodic)
+    rng = np.random.default_rng(list(BUFFER_GRIDS).index(name))
+    f = ScalarField(grid, rng.standard_normal(n))
+    farr = f.values / lp_norm(f, 2)
+    state = _DualState(farr, grid)
+    w = np.zeros((grid.d,) + grid.n)
+    early = 0
+    for nu, iters, gap_rel in BUFFER_SOLVES:
+        got = state.solve(nu, iters, gap_rel, 1.0)
+        *want, w = fista_reference(farr, grid.h, grid.periodic, w, nu, iters,
+                                   gap_rel, 1.0, CHECK_EVERY)
+        assert got == tuple(want)
+        assert state.w.tobytes() == w.tobytes()
+        assert state.tv_and_gap(nu) == fista_tv_and_gap(
+            farr, grid.h, grid.periodic, w, nu)
+        early += got[2] and got[1] < iters
+    assert early == 2
 
 
 _BLAS_THREADS_SOLVE = """

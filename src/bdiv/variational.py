@@ -184,7 +184,8 @@ class _DualState:
     root of the squared components summed in axis order (np.abs for d = 1),
     so the TV the solver reports is ``tv_norm(r, "isotropic")`` bit for bit.
     The restart sign is one dot product <wy - w_new, w_new - w>, taken in
-    place in wy and a difference buffer which the momentum update reuses.
+    place in wy and the gradient buffer, whose difference the momentum
+    update reuses.
 
     The iteration is built once and then only run: its ufunc calls are
     bound, with the array views they work on, as argument-free
@@ -199,11 +200,11 @@ class _DualState:
     momentum update.
 
     The arrays are allocated at construction; a solve allocates none.  w is
-    one of the two swap buffers _w2, and a solve starts from whichever it is; _wy holds the
-    extrapolated point, _dw the step w_new - w; _r the residual; _tmp the
+    one of the two swap buffers _w2, and a solve starts from whichever it
+    is; _wy holds the extrapolated point; _r the residual; _tmp the
     per-component scratch of the divergence and the magnitude; _g the
-    gradient, in which the duality-gap check also works; _mag the
-    magnitude.
+    gradient and, once the step is taken, the difference w_new - w; the
+    duality-gap check also works in _g; _mag holds the magnitude.
     """
 
     def __init__(self, farr: np.ndarray, grid: Grid):
@@ -215,7 +216,6 @@ class _DualState:
         self._w2 = (np.zeros(shape), np.empty(shape))
         self.w = self._w2[0]
         self._wy = np.empty(shape)
-        self._dw = np.empty(shape)
         self._r = np.empty(grid.n)
         self._tmp = np.empty(grid.n) if grid.d > 1 else None
         self._g = np.empty(shape)
@@ -261,7 +261,7 @@ class _DualState:
     ) -> list[Callable]:
         """Bound calls of one iteration up to the restart dot product: the
         residual and gradient at _wy, w_new <- the projected gradient step
-        from _wy, and the restart terms _dw <- w_new - w, _wy <- _wy - w_new."""
+        from _wy, and the restart terms _g <- w_new - w, _wy <- _wy - w_new."""
         r, g, wy, mag = self._r, self._g, self._wy, self._mag
         return [
             *self._div_wy,
@@ -273,7 +273,7 @@ class _DualState:
             *self._magnitude_calls(w_new),
             partial(np.maximum, mag, 1.0, out=mag),  # positional out deprecated
             partial(np.divide, w_new, mag[None], w_new),
-            partial(np.subtract, w_new, w, self._dw),
+            partial(np.subtract, w_new, w, g),
             partial(np.subtract, wy, w_new, wy),
         ]
 
@@ -292,7 +292,7 @@ class _DualState:
         if max_iters <= 0:
             return self.tv_and_gap(nu)[0], 0, False
         step = 1.0 / (nu * self.lips)  # descent step times nu folded in
-        w2, wy, dw = self._w2, self._wy, self._dw
+        w2, wy, dw = self._w2, self._wy, self._g  # _g is free after the step
         calls = (
             self._iteration_calls(nu, step, w2[0], w2[1]),
             self._iteration_calls(nu, step, w2[1], w2[0]),
@@ -463,6 +463,7 @@ def minimize_flambda(
     if best is None:  # budget exhausted on the infeasible side; not converged
         best = (probe(nu_hi), state.w)
     rec, w = best
+    del state  # its buffers, all but w, are free before u and r are built
 
     u_arr = (rec.nu * fnorm) * w
     r_arr = f.values - divergence_array(u_arr, grid)

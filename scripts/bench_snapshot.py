@@ -12,6 +12,10 @@ that one too, labelled "parent") it records:
   (run k uses seed k) and ops_failed_frac;
 - per workload, one --trace 1 run: the per-layer count metrics (exact, so
   one run suffices);
+- a whole-run row: wall time, inner iterations and cell-iterations of
+  one two_step call (the `bench table1` solver settings) on the Nirenberg
+  field at N = 50, 100 and 200, N = 200 in the first TWOSTEP_RUNS rounds
+  only;
 - two layer rows: ns per cell per iteration of one projected-FISTA solve
   (_DualState.solve) at fixed nu on the Nirenberg field at 16^2 (the size
   of hierarchy-small), 32^2, 64^2, 128^2 and 256^2, the duality-gap check
@@ -51,6 +55,8 @@ FISTA_ITERS = 200
 FISTA_REPEATS = 3  # timed solves per size and run
 MORREY_SIZES = (32, 48, 64, 128, 256)
 MORREY_RUNS = {128: 3, 256: 1}  # rounds that time these sizes; others: RUNS
+TWOSTEP_SIZES = (50, 100, 200)
+TWOSTEP_RUNS = {200: 3}  # rounds that time these sizes; others: RUNS
 
 # one timed FISTA solve per repeat, from a fresh zero dual field, so every
 # repeat does the same work; argv: sizes, nu, iterations, repeats
@@ -70,7 +76,7 @@ for n in map(int, sizes):
     for _ in range(repeats):
         state = _DualState(farr, f.grid)
         t0 = time.perf_counter()
-        _, ran, _ = state.solve(nu, iters, 0.0, 1.0)
+        ran = state.solve(nu, iters, 0.0, 1.0)[1]
         times.append(time.perf_counter() - t0)
         if ran != iters:
             raise SystemExit(f"solve stopped after {ran} of {iters} iterations")
@@ -91,6 +97,29 @@ for n in map(int, sys.argv[1].split(",")):
     t0 = time.perf_counter()
     morrey_norm(f)
     out[n] = (time.perf_counter() - t0) * 1e3
+print(json.dumps(out))
+"""
+
+
+# one timed two_step call per size, at the `bench table1` settings; iterations
+# are those on the caller's grid, cell-iterations those of every grid level
+# (a report without cell_iterations ran on one grid); argv: sizes
+TWOSTEP_ROW = """
+import json, sys, time
+from bdiv.examples import nirenberg_field
+from bdiv.variational import VariationalConfig, two_step
+
+cfg = VariationalConfig(lam=1.0, tol_objective=1e-6, tol_residual=0.02,
+                        inner_iters=4000)
+out = {}
+for n in map(int, sys.argv[1].split(",")):
+    f = nirenberg_field(n)
+    t0 = time.perf_counter()
+    _, rep = two_step(f, cfg)
+    wall = time.perf_counter() - t0
+    cells = getattr(rep, "cell_iterations", rep.iterations * f.grid.size)
+    out[n] = {"wall_s": wall, "iterations": rep.iterations,
+              "cell_iterations": cells, "converged": rep.converged}
 print(json.dumps(out))
 """
 
@@ -136,6 +165,20 @@ def morrey_layer(tree: Path, seed: int) -> dict:
     return layer(tree, MORREY_LAYER, ",".join(map(str, sizes)))
 
 
+def twostep_row(tree: Path, seed: int) -> dict:
+    sizes = [n for n in TWOSTEP_SIZES if seed <= TWOSTEP_RUNS.get(n, RUNS)]
+    return layer(tree, TWOSTEP_ROW, ",".join(map(str, sizes)))
+
+
+def twostep_summary(runs: list[dict]) -> dict:
+    """Wall-time summary of one size's runs; the counts, the same in every
+    run, once."""
+    counts = {k: runs[0][k] for k in ("iterations", "cell_iterations", "converged")}
+    if any({k: r[k] for k in counts} != counts for r in runs):
+        raise SystemExit(f"two_step counts differ between runs: {runs}")
+    return dict(wall_s=summary([r["wall_s"] for r in runs]), **counts)
+
+
 def summary(values: list[float]) -> dict:
     """Median and quartiles (inclusive method) of the runs, with the runs."""
     if len(values) == 1:
@@ -176,6 +219,7 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
     raw = {label: {w: [] for w in names} for label in trees}
     fista = {label: {n: [] for n in FISTA_SIZES} for label in trees}
     morrey = {label: {n: [] for n in MORREY_SIZES} for label in trees}
+    twostep = {label: {n: [] for n in TWOSTEP_SIZES} for label in trees}
     order = list(trees)
     for seed in range(1, RUNS + 1):
         labels = order if seed % 2 else order[::-1]
@@ -189,6 +233,8 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
                 fista[label][int(n)].extend(values)
             for n, ms in morrey_layer(trees[label], seed).items():
                 morrey[label][int(n)].append(ms)
+            for n, row in twostep_row(trees[label], seed).items():
+                twostep[label][int(n)].append(row)
 
     columns = {}
     for label, tree in trees.items():
@@ -216,6 +262,12 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
         columns[label] = {
             **git_state(tree),
             "workloads": workloads,
+            "runs": {
+                "variational.two_step_nirenberg": {
+                    f"{n}x{n}": twostep_summary(twostep[label][n])
+                    for n in TWOSTEP_SIZES
+                },
+            },
             "layers": {
                 "variational.fista_ns_per_cell_iter": {
                     f"{n}x{n}": summary(fista[label][n]) for n in FISTA_SIZES
@@ -238,6 +290,7 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
             "fista_nu": FISTA_NU, "fista_iters": FISTA_ITERS,
             "fista_repeats_per_run": FISTA_REPEATS,
             "morrey_runs": {str(n): MORREY_RUNS.get(n, RUNS) for n in MORREY_SIZES},
+            "twostep_runs": {str(n): TWOSTEP_RUNS.get(n, RUNS) for n in TWOSTEP_SIZES},
         },
         "columns": columns,
     }

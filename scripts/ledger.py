@@ -134,21 +134,33 @@ def c8(args) -> None:
 
 
 def _print_probes(label: str, rep) -> None:
-    tight = [q for q in rep.probes if q.gap != 1e-4]
-    last = [q for q in rep.probes if q.nu == rep.probes[-1].nu]
-    print(f"{label}: {len(rep.probes)} solves ({len(tight)} tight), "
-          f"{rep.iterations} iterations, {sum(q.iterations for q in last)} at "
-          f"the last nu; converged={rep.converged} gap_met={rep.gap_met}")
+    """The run's totals, then one line per grid level, coarsest first: its
+    solves, iterations and cell-iterations, and the relative duality gap
+    its final solve reached (on the caller's grid, the final tight one)."""
+    print(f"{label}: {rep.iterations} iterations on the caller's grid, "
+          f"{rep.cell_iterations / 1e6:.1f} M cell-iterations over all levels; "
+          f"converged={rep.converged} gap_met={rep.gap_met}")
+    for cells in sorted({q.cells for q in rep.coarse + rep.probes}):
+        level = [q for q in rep.coarse + rep.probes if q.cells == cells]
+        tight = [q for q in level if q.gap != 1e-4]
+        last = [q for q in level if q.nu == level[-1].nu]
+        iters = sum(q.iterations for q in level)
+        print(f"  {cells} cells: {len(level)} solves ({len(tight)} tight), "
+              f"{iters} iterations ({sum(q.iterations for q in last)} at the "
+              f"last nu), {iters * cells / 1e6:.1f} M cell-iterations, final "
+              f"{'cheap' if level[-1].gap == 1e-4 else 'tight'} solve reached gap "
+              f"{level[-1].gap_reached:.2e}")
 
 
 def probes(args) -> None:
     """Inner solves and iterations of the root search, read from the
-    report's probe records: `bench table1` at N = 50 and 100, and the
+    report's probe records: `bench table1` at N = 50, 100 and 200, and the
     default config on the N = 64 field at p = 2 with the two-step lam =
     1/||f||_2 and at p = 1 with lam = 4."""
-    for n in (50, 100):
+    for n in (50, 100, 200):
+        t0 = time.perf_counter()
         _, rep = two_step(nirenberg_field(n), VariationalConfig(lam=1.0, **BENCH_CFG))
-        _print_probes(f"bench table1 N={n}", rep)
+        _print_probes(f"bench table1 N={n} ({time.perf_counter() - t0:.1f}s)", rep)
     f = nirenberg_field(64)
     for p, lam in ((2, 1.0 / lp_norm(f, 2)), (1, 4.0)):
         _, _, rep = minimize_flambda(f, VariationalConfig(lam=lam, p=p))

@@ -16,6 +16,12 @@ construction rather than a limit property.  The objective is
 1-homogeneous under (u, f, lambda) -> (cu, cf, lambda c^{p-1}), so the
 iteration runs on unit-L2-normalized data and rescales the outputs,
 keeping all internal quantities at O(1) scale.
+
+Coarse start.  The root nu* hardly moves with resolution, so on a grid
+with even axes whose 2^d-cell average has at least COARSE_MIN_CELLS cells
+the search first finds it, with cheap solves only, on that average
+(recursively), and starts there from the prolonged coarse dual field.
+All levels share one budget of iterations times cells.
 """
 
 from __future__ import annotations
@@ -46,6 +52,14 @@ SATURATION_TOL = 1e-3
 
 # FISTA iterations between duality-gap checks of an inner solve
 CHECK_EVERY = 50
+
+# least cell count of the 2^d-cell-averaged grid for the coarse start of
+# minimize_flambda.  Below it a FISTA iteration is mostly per-call overhead:
+# one costs 132 ns per cell at 16^2 (34 us), 48.9 at 32^2 (50 us) and 26.8
+# at 64^2 (110 us) (BENCH_10.json, one core).  A 32^2 iteration costs 0.45
+# of a 64^2 one, but a 16^2 iteration 0.68 of a 32^2 one, too much for the
+# probes a coarse search adds.
+COARSE_MIN_CELLS = 512
 
 
 @dataclass
@@ -79,16 +93,20 @@ class Probe:
     """One inner solve of the root search, at nu on the unit-normalized data.
 
     gap is the relative duality gap asked (1e-4 for the cheap solve,
-    tol_objective for the tight one) and gap_met whether it was reached;
-    defect is the certificate defect, positive while nu is below the root,
-    and scale its natural size; saturated flags a vanished p = 1 residual;
-    objective is that of the iterate on the caller's data.
+    tol_objective for the tight one), gap_met whether it was reached, and
+    gap_reached the relative gap of the solve's last check; cells is the
+    cell count of the grid it ran on; defect is the certificate defect,
+    positive while nu is below the root, and scale its natural size;
+    saturated flags a vanished p = 1 residual; objective is that of the
+    iterate on the data of its grid.
     """
 
     nu: float
     gap: float
     gap_met: bool
+    gap_reached: float
     iterations: int
+    cells: int
     defect: float
     scale: float
     saturated: bool
@@ -103,7 +121,11 @@ class SolverReport:
     for p = 1, is saturated); gap_met means the inner solve behind the
     returned u reached the duality-gap tolerance tol_objective rather than
     stopping at its iteration cap or only at the cheap gap.  probes holds
-    one record per inner solve of the root search, in the order they ran.
+    one record per inner solve of the root search on the caller's grid, in
+    the order they ran, and coarse those of the coarse levels (coarsest
+    first).  iterations counts the inner iterations on the caller's grid,
+    cell_iterations the iterations times the cells of every solve, coarse
+    ones included.
     """
 
     iterations: int
@@ -114,7 +136,9 @@ class SolverReport:
     converged: bool
     gap_met: bool
     trivial: bool = False
+    cell_iterations: int = 0
     probes: list[Probe] = field(default_factory=list)
+    coarse: list[Probe] = field(default_factory=list)
 
 
 @dataclass
@@ -279,18 +303,21 @@ class _DualState:
 
     def solve(
         self, nu: float, max_iters: int, gap_rel: float, tv_ref: float
-    ) -> tuple[float, int, bool]:
+    ) -> tuple[float, int, bool, float]:
         """Run FISTA from the current w; returns the achieved TV(r), the
-        iterations run and whether the duality gap reached its threshold.
+        iterations run, whether the duality gap reached its threshold, and
+        the relative gap of the last check.
 
         Stops when the duality gap falls below gap_rel times the natural
         scale nu * max(TV(r), tv_ref); tv_ref keeps the threshold sane when
         the residual collapses past saturation.  Momentum restarts when the
         gradient-mapping direction turns against the last step.  With no
-        iterations allowed it only evaluates TV(r) of the current w.
+        iterations allowed it only evaluates TV(r) and the gap of the
+        current w.
         """
         if max_iters <= 0:
-            return self.tv_and_gap(nu)[0], 0, False
+            tv, gap = self.tv_and_gap(nu)
+            return tv, 0, False, gap / max(nu * max(tv, tv_ref), 1e-300)
         step = 1.0 / (nu * self.lips)  # descent step times nu folded in
         w2, wy, dw = self._w2, self._wy, self._g  # _g is free after the step
         calls = (
@@ -300,7 +327,6 @@ class _DualState:
         k = 0 if self.w is w2[0] else 1  # w is w2[k], w_new w2[1 - k]
         np.copyto(wy, self.w)
         tmom = 1.0
-        tv = np.inf
         for it in range(1, max_iters + 1):
             for call in calls[k]:
                 call()
@@ -314,9 +340,10 @@ class _DualState:
             if it % CHECK_EVERY == 0 or it == max_iters:
                 self.w = w2[k]
                 tv, gap = self.tv_and_gap(nu)
-                if gap <= gap_rel * max(nu * max(tv, tv_ref), 1e-300):
-                    return tv, it, True
-        return tv, max_iters, False
+                scale = max(nu * max(tv, tv_ref), 1e-300)
+                if gap <= gap_rel * scale:
+                    return tv, it, True, gap / scale
+        return tv, max_iters, False, gap / scale
 
 
 def minimize_flambda(
@@ -341,8 +368,26 @@ def minimize_flambda(
     tight solve.  Every inner solve appends one Probe to report.probes, and
     the search reads its state from them: the duality-gap floor of each
     solve, saturation, and the returned u, that of the feasible record of
-    least objective the narrowing found.  report.gap_met says whether the
+    least objective the search found.  report.gap_met says whether the
     solve behind u reached tol_objective or stopped at the inner_iters cap.
+
+    Coarse start.  When every axis has an even length and the 2^d-cell
+    average of f has at least COARSE_MIN_CELLS cells, the search first runs
+    on that average with the same lam, recursively.  A coarse level runs
+    cheap solves only, stops at its first probe inside the band and
+    certifies nothing.  The caller's grid then starts at the coarse root,
+    rescaled to the normalized data (nu_c ||f_c|| / ||f||), from the coarse
+    dual field prolonged piecewise-constant (still |w| <= 1); its second
+    probe is a secant step along the slope of the coarse level's final
+    bracket, and once both signs of the defect are seen the Illinois
+    narrowing above takes over.  A trivial, unconverged or saturated coarse
+    level leaves the cold search from nu = 0.25.  The coarse solves are
+    recorded in report.coarse, and all levels share one budget: the
+    iterations times the cells of every solve sum to at most max_iters times
+    the cells of f (a coarse level, with its own coarser levels, gets at
+    most max_iters iterations on its cells).  report.iterations counts the
+    iterations on f's grid, report.cell_iterations those of every level
+    times their cells.
     """
     grid = f.grid
     lam, p = cfg.lam, cfg.p
@@ -362,109 +407,9 @@ def minimize_flambda(
         )
         return VectorField.zeros(grid), f.copy(), report
 
-    farr = f.values / fnorm
-    lam_eff = lam * fnorm ** (p - 1)
-    state = _DualState(farr, grid)
-    band = 0.5 * cfg.tol_residual
-
-    # the TV(r) the certificate asks for: 1/(2 lam) for p = 2, and for p = 1
-    # ||r||_2 / lam, here at r = f.  Saturation: for p = 1 the fidelity is
-    # an exact penalty, so past a finite nu the residual vanishes
-    # identically; such nu are flagged as feasible and the search closes in
-    # on the smallest one.
-    target = 1.0 / (2.0 * lam_eff) if p == 2 else 1.0 / lam_eff
-    t_floor = target if p == 2 else SATURATION_TOL / lam_eff
-    probes: list[Probe] = []
-
-    def used() -> int:
-        return sum(q.iterations for q in probes)
-
-    def budget() -> int:
-        return min(cfg.inner_iters, cfg.max_iters - used())
-
-    def solve(nu: float, gap: float) -> Probe:
-        """One inner solve at nu to the relative gap, recorded in probes.
-        Its gap floor is the scale of the last unsaturated record."""
-        tv_ref = next((q.scale for q in reversed(probes) if not q.saturated), target)
-        tv, iters, met = state.solve(nu, budget(), gap, tv_ref)
-        r = state.residual(nu)
-        rnorm = lp_norm(ScalarField(grid, r), 2) if p == 1 else 0.0
-        t = target if p == 2 else rnorm / lam_eff
-        saturated = p == 1 and rnorm <= SATURATION_TOL
-        scale = max(t, t_floor)
-        objective = _report_objective(
-            (nu * fnorm) * state.w, ScalarField(grid, fnorm * r), lam, p
-        )
-        rec = Probe(nu=nu, gap=gap, gap_met=met, iterations=iters,
-                    defect=-scale if saturated else tv - t, scale=scale,
-                    saturated=saturated, objective=objective)
-        probes.append(rec)
-        return rec
-
-    def probe(nu: float) -> Probe:
-        """Solve at nu; return the last record.  A cheap solve (gap 1e-4,
-        TV(r) to a few 1e-4 relative) settles the sign of the defect
-        wherever it lies outside twice the certificate band; only inside it
-        does the solve continue to cfg.tol_objective.  No solve runs past
-        cfg.max_iters."""
-        rec = solve(nu, 1e-4)
-        if abs(rec.defect) > 2.0 * band * rec.scale or rec.saturated or budget() <= 0:
-            return rec
-        return solve(nu, cfg.tol_objective)
-
-    # defect at nu = 0 is free: r = f
-    d_lo = tv_norm(ScalarField(grid, farr), "isotropic") - target
-    nu_lo = 0.0
-
-    # expanding bracket: defect > 0 at nu_lo, <= 0 at nu_hi
-    nu = 0.25
-    converged = False
-    best: tuple[Probe, np.ndarray] | None = None
-    d_hi = d_lo
-    while used() < cfg.max_iters:
-        d_hi = probe(nu).defect
-        if d_hi <= 0:
-            break
-        nu_lo, d_lo, nu = nu, d_hi, 2.0 * nu
-        if nu > 1e9:
-            break
-    nu_hi = nu
-
-    side = 0  # Illinois false position on the bracketed certificate defect
-    while used() < cfg.max_iters:
-        if d_hi < 0 < d_lo:
-            nu = nu_hi - d_hi * (nu_hi - nu_lo) / (d_hi - d_lo)
-            width = nu_hi - nu_lo
-            nu = min(max(nu, nu_lo + 0.02 * width), nu_hi - 0.02 * width)
-        else:
-            nu = 0.5 * (nu_lo + nu_hi)
-        rec = probe(nu)
-        d = rec.defect
-        in_band = abs(d) <= band * rec.scale and not rec.saturated
-        if d > 0:
-            nu_lo, d_lo = nu, d
-            if side == -1:
-                d_hi *= 0.5
-            side = -1
-        else:
-            nu_hi, d_hi = nu, d
-            if side == 1:
-                d_lo *= 0.5
-            side = 1
-        if (d <= 0 or in_band) and (best is None or rec.objective < best[0].objective):
-            best = (rec, state.w.copy())
-        tiny = (nu_hi - nu_lo) <= 1e-14 * max(nu_hi, 1.0)
-        # exact-penalty optimum: the residual vanished at a bracketed edge
-        sat_edge = rec.saturated and (nu_hi - nu_lo) <= 1e-3 * max(nu_hi, 1e-300)
-        if in_band or tiny or sat_edge:
-            converged = in_band or sat_edge
-            break
-
-    if best is None:  # budget exhausted on the infeasible side; not converged
-        best = (probe(nu_hi), state.w)
-    rec, w = best
-    del state  # its buffers, all but w, are free before u and r are built
-
+    level = _search(f, fnorm, cfg, certify=True)
+    rec, w = level.best
+    converged = level.converged
     u_arr = (rec.nu * fnorm) * w
     r_arr = f.values - divergence_array(u_arr, grid)
     r_field = ScalarField(grid, r_arr)
@@ -475,16 +420,234 @@ def minimize_flambda(
         obj = lam * fnorm**p
         converged = False
     report = SolverReport(
-        iterations=used(),
+        iterations=sum(q.iterations for q in level.probes),
         objective=obj,
         u_sup=sup_magnitude(u_arr),
         r_norm=lp_norm(r_field, 2),
         phi_tv=_phi_p_tv(r_field, p),
         converged=converged,
         gap_met=rec.gap_met and rec.gap <= cfg.tol_objective,
-        probes=probes,
+        cell_iterations=sum(q.iterations * q.cells for q in level.coarse + level.probes),
+        probes=level.probes,
+        coarse=level.coarse,
     )
     return VectorField.from_arrays(grid, list(u_arr)), r_field, report
+
+
+@dataclass
+class _Level:
+    """The root search on one grid: its records and those of every coarser
+    level; best, the record behind the result and its dual field; the slope
+    d(defect/scale)/d nu of the final bracket, for a coarse level only."""
+
+    probes: list[Probe]
+    coarse: list[Probe]
+    best: tuple[Probe, np.ndarray]
+    converged: bool
+    slope: float | None = None
+
+
+def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool) -> _Level:
+    """The root search of minimize_flambda on f / fnorm, from the coarse
+    start where it applies.  certify=False runs a coarse level: cheap
+    solves only, and best is the last record."""
+    grid = f.grid
+    lam, p = cfg.lam, cfg.p
+    farr = f.values / fnorm
+    lam_eff = lam * fnorm ** (p - 1)
+    coarse, start = _coarse_start(f, fnorm, cfg)
+    state = _DualState(farr, grid)
+    band = 0.5 * cfg.tol_residual
+    cells = grid.size
+    # the iterations this grid may run: max_iters less the coarse cell-iterations
+    allowed = (cfg.max_iters * cells - sum(q.iterations * q.cells for q in coarse)) // cells
+
+    # the TV(r) the certificate asks for: 1/(2 lam) for p = 2, and for p = 1
+    # ||r||_2 / lam, here at r = f.  Saturation: for p = 1 the fidelity is
+    # an exact penalty, so past a finite nu the residual vanishes
+    # identically; such nu are flagged as feasible and the search closes in
+    # on the smallest one.
+    target = 1.0 / (2.0 * lam_eff) if p == 2 else 1.0 / lam_eff
+    t_floor = target if p == 2 else SATURATION_TOL / lam_eff
+    probes: list[Probe] = []
+
+    def left() -> int:
+        return allowed - sum(q.iterations for q in probes)
+
+    def budget() -> int:
+        return min(cfg.inner_iters, left())
+
+    def solve(nu: float, gap: float) -> Probe:
+        """One inner solve at nu to the relative gap, recorded in probes.
+        Its gap floor is the scale of the last unsaturated record."""
+        tv_ref = next((q.scale for q in reversed(probes) if not q.saturated), target)
+        tv, iters, met, reached = state.solve(nu, budget(), gap, tv_ref)
+        r = state.residual(nu)
+        rnorm = lp_norm(ScalarField(grid, r), 2) if p == 1 else 0.0
+        t = target if p == 2 else rnorm / lam_eff
+        saturated = p == 1 and rnorm <= SATURATION_TOL
+        scale = max(t, t_floor)
+        objective = _report_objective(
+            (nu * fnorm) * state.w, ScalarField(grid, fnorm * r), lam, p
+        )
+        rec = Probe(nu=nu, gap=gap, gap_met=met, gap_reached=reached,
+                    iterations=iters, cells=cells,
+                    defect=-scale if saturated else tv - t, scale=scale,
+                    saturated=saturated, objective=objective)
+        probes.append(rec)
+        return rec
+
+    def probe(nu: float) -> Probe:
+        """Solve at nu; return the last record.  A cheap solve (gap 1e-4,
+        TV(r) to a few 1e-4 relative) settles the sign of the defect
+        wherever it lies outside twice the certificate band; only inside it
+        does the solve continue to cfg.tol_objective, and only on the
+        caller's grid.  No solve runs past the budget."""
+        rec = solve(nu, 1e-4)
+        if (not certify or abs(rec.defect) > 2.0 * band * rec.scale
+                or rec.saturated or budget() <= 0):
+            return rec
+        return solve(nu, cfg.tol_objective)
+
+    best: tuple[Probe, np.ndarray] | None = None
+
+    def consider(rec: Probe) -> bool:
+        """Keep rec as best if it is feasible with a lower objective;
+        return whether it lies inside the band."""
+        nonlocal best
+        in_band = abs(rec.defect) <= band * rec.scale and not rec.saturated
+        if (rec.defect <= 0 or in_band) and (best is None or rec.objective < best[0].objective):
+            best = (rec, state.w.copy())
+        return in_band
+
+    # defect at nu = 0 is free: r = f
+    d_zero = tv_norm(ScalarField(grid, farr), "isotropic") - target
+    nu_lo, d_lo = 0.0, d_zero
+    converged = False
+    slope = None
+    if start is None:  # expanding bracket: defect > 0 at nu_lo, <= 0 at nu_hi
+        nu = 0.25
+        d_hi = d_lo
+        while left() > 0:
+            d_hi = probe(nu).defect
+            if d_hi <= 0:
+                break
+            nu_lo, d_lo, nu = nu, d_hi, 2.0 * nu
+            if nu > 1e9:
+                break
+        nu_hi = nu
+    else:  # secant steps from the coarse root until both signs are seen
+        nu, w0, slope = start
+        np.copyto(state.w, w0)
+        nu_hi, d_hi = None, d_lo
+        last = None
+        while left() > 0:
+            rec = probe(nu)
+            if consider(rec):
+                converged = True
+                break
+            if rec.defect > 0:
+                nu_lo, d_lo = nu, rec.defect
+            else:
+                nu_hi, d_hi = nu, rec.defect
+            if nu_lo > 0.0 and nu_hi is not None:
+                break
+            rel = rec.defect / rec.scale
+            if last is not None and last[0] != nu:  # the secant of two fine records
+                secant = (rel - last[1]) / (nu - last[0])
+                slope = secant if secant < 0 else slope
+            last = (nu, rel)
+            nu = min(max(nu - rel / slope, 0.5 * nu), 2.0 * nu)
+        if nu_hi is None:
+            nu_hi = nu
+
+    side = 0  # Illinois false position on the bracketed certificate defect
+    while not converged and left() > 0:
+        if d_hi < 0 < d_lo:
+            nu = nu_hi - d_hi * (nu_hi - nu_lo) / (d_hi - d_lo)
+            width = nu_hi - nu_lo
+            nu = min(max(nu, nu_lo + 0.02 * width), nu_hi - 0.02 * width)
+        else:
+            nu = 0.5 * (nu_lo + nu_hi)
+        rec = probe(nu)
+        d = rec.defect
+        in_band = consider(rec)
+        if d > 0:
+            nu_lo, d_lo = nu, d
+            if side == -1:
+                d_hi *= 0.5
+            side = -1
+        else:
+            nu_hi, d_hi = nu, d
+            if side == 1:
+                d_lo *= 0.5
+            side = 1
+        tiny = (nu_hi - nu_lo) <= 1e-14 * max(nu_hi, 1.0)
+        # exact-penalty optimum: the residual vanished at a bracketed edge
+        sat_edge = rec.saturated and (nu_hi - nu_lo) <= 1e-3 * max(nu_hi, 1e-300)
+        if in_band or tiny or sat_edge:
+            converged = in_band or sat_edge
+            break
+
+    if not certify:
+        return _Level(probes, coarse, (probes[-1], state.w), converged,
+                      _bracket_slope(probes, d_zero / target, slope))
+    if best is None:  # budget exhausted on the infeasible side; not converged
+        best = (probe(nu_hi), state.w)
+    return _Level(probes, coarse, best, converged)
+
+
+def _bracket_slope(
+    probes: list[Probe], rel_zero: float, slope: float | None
+) -> float | None:
+    """Slope of the relative defect defect/scale over the final bracket:
+    the last records on either side of the root, the free nu = 0 standing
+    in for a missing low side; slope, the one the search started from, if
+    the high side is missing."""
+    lo = next(((q.nu, q.defect / q.scale) for q in reversed(probes) if q.defect > 0),
+              (0.0, rel_zero))
+    hi = next(((q.nu, q.defect / q.scale) for q in reversed(probes) if q.defect <= 0),
+              None)
+    if hi is not None and hi[0] > lo[0]:
+        return (hi[1] - lo[1]) / (hi[0] - lo[0])
+    return slope
+
+
+def _coarse_start(
+    f: ScalarField, fnorm: float, cfg: VariationalConfig
+) -> tuple[list[Probe], tuple[float, np.ndarray, float] | None]:
+    """Records of the coarse levels below f's grid, and where the search on
+    f / fnorm starts: (nu, w, slope of the relative defect in nu), or None
+    for the cold search."""
+    grid = f.grid
+    if any(n % 2 or n < 4 for n in grid.n) or grid.size >> grid.d < COARSE_MIN_CELLS:
+        return [], None
+    fc = _restrict(f)
+    fcnorm = lp_norm(fc, 2)
+    if fcnorm == 0.0 or cfg.lam * _phi_p_tv(fc, cfg.p) <= 1.0:
+        return [], None
+    level = _search(fc, fcnorm, cfg, certify=False)
+    rec, w = level.best
+    records = level.coarse + level.probes
+    if not level.converged or rec.saturated or level.slope is None or level.slope >= 0:
+        return records, None
+    ratio = fcnorm / fnorm
+    return records, (rec.nu * ratio, _prolong(w), level.slope / ratio)
+
+
+def _restrict(f: ScalarField) -> ScalarField:
+    """The 2^d-cell averages of f, on the grid with half the cells per axis."""
+    grid = f.grid
+    coarse = Grid(tuple(n // 2 for n in grid.n), grid.lo, grid.hi, grid.periodic)
+    blocks = f.values.reshape([m for n in coarse.n for m in (n, 2)])
+    return ScalarField(coarse, blocks.mean(axis=tuple(range(1, 2 * grid.d, 2))))
+
+
+def _prolong(w: np.ndarray) -> np.ndarray:
+    """The stacked (d, ...) field w repeated twice along every axis."""
+    for axis in range(1, w.ndim):
+        w = w.repeat(2, axis=axis)
+    return w
 
 
 def _report_objective(u_arr: np.ndarray, r: ScalarField, lam: float, p: int) -> float:
@@ -585,7 +748,9 @@ def two_step(
         phi_tv=rep.phi_tv,
         converged=rep.converged,
         gap_met=rep.gap_met,
+        cell_iterations=rep.cell_iterations,
         probes=rep.probes,
+        coarse=rep.coarse,
     )
     return u, report
 

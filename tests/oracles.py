@@ -140,14 +140,15 @@ def fista_reference(farr, h, periodic, w, nu, max_iters, gap_rel, tv_ref,
                     check_every=50):
     """Projected FISTA with adaptive restart on min_{|w|<=1} 0.5 ||f - nu
     div w||^2 from w, the gap checked every check_every iterations and at
-    the last; returns (TV(r), iterations, gap met, final w)."""
+    the last; returns (TV(r), iterations, gap met, relative gap of the last
+    check, final w)."""
     if max_iters <= 0:
-        return fista_tv_and_gap(farr, h, periodic, w, nu)[0], 0, False, w
+        tv, gap = fista_tv_and_gap(farr, h, periodic, w, nu)
+        return tv, 0, False, gap / max(nu * max(tv, tv_ref), 1e-300), w
     step = 1.0 / (nu * sum(4.0 / ha**2 for ha in h))
     w = w.copy()
     wy = w.copy()
     tmom = 1.0
-    tv = np.inf
     for it in range(1, max_iters + 1):
         g = _ref_gradient(_ref_residual(farr, h, periodic, wy, nu), h, periodic)
         w_new = g * -step
@@ -166,9 +167,10 @@ def fista_reference(farr, h, periodic, w, nu, max_iters, gap_rel, tv_ref,
         tmom = tnew
         if it % check_every == 0 or it == max_iters:
             tv, gap = fista_tv_and_gap(farr, h, periodic, w, nu)
-            if gap <= gap_rel * max(nu * max(tv, tv_ref), 1e-300):
-                return tv, it, True, w
-    return tv, max_iters, False, w
+            scale = max(nu * max(tv, tv_ref), 1e-300)
+            if gap <= gap_rel * scale:
+                return tv, it, True, gap / scale, w
+    return tv, max_iters, False, gap / scale, w
 
 
 def rectangle_face_count(mask: np.ndarray) -> int:

@@ -4,6 +4,7 @@ anisotropic spacing, for p = 1 and p = 2.  Grids and budgets are small so
 the suite stays fast."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,3 +78,116 @@ def test_minimize_contracts_and_probe_records(grid, seed, p, k):
             assert i > 0 and cheap.gap == 1e-4 and cheap.nu == q.nu
             assert abs(cheap.defect) <= 2.0 * band * cheap.scale
             assert not cheap.saturated
+
+
+# -- the coarse start -----------------------------------------------------------
+
+# (n, lo, hi, periodic) of grids just past the floor: the 2^d-cell average
+# has at least COARSE_MIN_CELLS cells
+COARSE_GRIDS = {
+    "torus1d": ((1024,), -1.0, 1.0, True),
+    "box1d": ((1026,), 0.0, 3.0, False),
+    "torus2d": ((46, 46), -1.0, 1.0, True),
+    "box2d": ((46, 46), -1.0, 1.0, False),
+    "mixed-aniso2d": ((32, 64), (0.0, -1.0), (1.0, 3.0), (True, False)),
+    "torus3d": ((16, 16, 16), -1.0, 1.0, True),
+    "mixed-aniso3d": ((16, 16, 20), 0.0, (2.0, 1.0, 0.5), (False, True, True)),
+}
+
+# (grid, p, lam in units of the trivial threshold)
+COARSE_CASES = [
+    ("torus1d", 1, 8.0),
+    ("torus1d", 2, 30.0),
+    ("box1d", 2, 8.0),
+    ("torus2d", 1, 8.0),
+    ("torus2d", 2, 30.0),
+    ("box2d", 1, 8.0),
+    ("box2d", 2, 8.0),
+    ("mixed-aniso2d", 2, 30.0),
+    ("torus3d", 2, 8.0),
+    ("mixed-aniso3d", 1, 8.0),
+    ("mixed-aniso3d", 2, 8.0),
+]
+
+
+def _coarse_case(name, seed=0):
+    n, lo, hi, periodic = COARSE_GRIDS[name]
+    grid = Grid(n, lo, hi, periodic)
+    return ScalarField(grid, np.random.default_rng(seed).standard_normal(n))
+
+
+def _check_contracts(f, cfg, u, r, rep):
+    """The minimize_flambda contracts, and one cell-iteration budget shared
+    by every level."""
+    scale = max(float(np.abs(f.values).max()), 1.0)
+    resid = f.values - discrete_divergence(u).values - r.values
+    assert np.abs(resid).max() <= 1e-12 * scale
+    fnorm = lp_norm(f, 2)
+    bound = cfg.lam * fnorm**cfg.p
+    assert rep.objective <= bound
+    assert sup_norm_vector(u) + cfg.lam * lp_norm(r, 2) ** cfg.p <= bound * (1 + 1e-12)
+    if rep.converged:
+        held = _phi_p_tv(r, cfg.p) <= (1.0 + cfg.tol_residual) / cfg.lam
+        saturated = cfg.p == 1 and lp_norm(r, 2) <= SATURATION_TOL * fnorm
+        assert held or saturated
+    cells = f.grid.size
+    assert all(q.cells == cells for q in rep.probes)
+    assert sum(q.iterations for q in rep.probes) == rep.iterations
+    spent = sum(q.iterations * q.cells for q in rep.coarse + rep.probes)
+    assert rep.cell_iterations == spent <= cfg.max_iters * cells
+
+
+@pytest.mark.parametrize("case", COARSE_CASES, ids=lambda c: f"{c[0]}-p{c[1]}-k{c[2]:g}")
+def test_coarse_start_keeps_the_contracts(case):
+    name, p, k = case
+    f = _coarse_case(name)
+    cfg = VariationalConfig(lam=k / _phi_p_tv(f, p), p=p, max_iters=20_000,
+                            inner_iters=2000)
+    u, r, rep = minimize_flambda(f, cfg)
+    _check_contracts(f, cfg, u, r, rep)
+    assert rep.converged and not rep.trivial
+    # the coarse levels ran cheap solves only, on grids of 2^-d the cells each
+    cells = f.grid.size
+    assert rep.coarse and rep.probes[0].nu != 0.25  # started from the coarse root
+    assert all(q.gap == 1e-4 for q in rep.coarse)
+    assert {q.cells for q in rep.coarse} <= {cells >> (f.grid.d * j) for j in (1, 2, 3)}
+    assert cells >> f.grid.d in {q.cells for q in rep.coarse}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_coarse_budget_is_shared(p):
+    """A budget too small for any level to converge: every level draws on
+    max_iters times the caller's cells, and the caller's grid runs the cold
+    search on what the coarse levels left."""
+    f = _coarse_case("box2d")
+    cfg = VariationalConfig(lam=8.0 / _phi_p_tv(f, p), p=p, max_iters=120)
+    u, r, rep = minimize_flambda(f, cfg)
+    _check_contracts(f, cfg, u, r, rep)
+    assert rep.coarse and rep.probes[0].nu == 0.25
+    assert rep.cell_iterations == cfg.max_iters * f.grid.size
+
+
+def test_coarse_start_skipped_on_an_odd_axis():
+    f = ScalarField(Grid((47, 46), -1.0, 1.0, True),
+                    np.random.default_rng(1).standard_normal((47, 46)))
+    cfg = VariationalConfig(lam=8.0 / _phi_p_tv(f, 2), max_iters=20_000,
+                            inner_iters=2000)
+    u, r, rep = minimize_flambda(f, cfg)
+    _check_contracts(f, cfg, u, r, rep)
+    assert rep.converged and rep.coarse == [] and rep.probes[0].nu == 0.25
+    assert rep.cell_iterations == rep.iterations * f.grid.size
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_checkerboard_average_zero_takes_the_cold_search(p):
+    """The 2x2 averages of a checkerboard are exactly 0: no coarse level
+    runs and nothing divides by ||f_c|| = 0."""
+    grid = Grid((46, 46), -1.0, 1.0, True)
+    i, j = np.indices(grid.n)
+    f = ScalarField(grid, np.where((i + j) % 2 == 0, 1.0, -1.0))
+    cfg = VariationalConfig(lam=8.0 / _phi_p_tv(f, p), p=p, max_iters=20_000,
+                            inner_iters=2000)
+    with np.errstate(divide="raise", invalid="raise"):
+        u, r, rep = minimize_flambda(f, cfg)
+    _check_contracts(f, cfg, u, r, rep)
+    assert rep.converged and rep.coarse == [] and rep.probes[0].nu == 0.25

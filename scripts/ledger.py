@@ -86,6 +86,7 @@ def c2(args) -> None:
         outside = absr[chi.values == 0.0].sum() / absr.sum()
         print(f"n={n} h={f.grid.h[0]:.4g} max_iters={args.max_iters}: "
               f"converged={rep.converged} iterations={rep.iterations} "
+              f"(cell-iterations {rep.cell_iterations / 1e6:.0f} M) "
               f"rel={rel:.3f} u_sup={rep.u_sup:.2f} "
               f"(target {(BALL_ALPHA - beta) / 2:.2f}) "
               f"max|r|={absr.max():.2e} |r| outside ball={outside:.1%} "

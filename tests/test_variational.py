@@ -236,8 +236,13 @@ def test_root_search_runs_tight_solves_only_near_the_root():
     assert max(Counter(q.nu for q in tight).values()) == 1
     assert sum(q.iterations for q in probes) == rep.iterations
     assert rep.iterations <= 9550
-    # the final tight solve stops at the inner_iters cap
+    # the coarse start: the 25^2 average runs first, and all levels together
+    # cost under 18 M cell-iterations (the cold search takes 23.9 M)
+    assert {q.cells for q in rep.coarse} == {625}
+    assert rep.cell_iterations <= 18_000_000
+    # the final tight solve stops at the inner_iters cap, short of its gap
     assert tight[-1].iterations == cfg.inner_iters and not tight[-1].gap_met
+    assert tight[-1].gap_reached > cfg.tol_objective
     assert not rep.gap_met
 
 

@@ -84,9 +84,12 @@ def c2(args) -> None:
         )
         absr = np.abs(r.values)
         outside = absr[chi.values == 0.0].sum() / absr.sum()
+        last = rep.probes[-1]
         print(f"n={n} h={f.grid.h[0]:.4g} max_iters={args.max_iters}: "
               f"converged={rep.converged} iterations={rep.iterations} "
               f"(cell-iterations {rep.cell_iterations / 1e6:.0f} M) "
+              f"last solve {'cheap' if last.gap == 1e-4 else 'tight'}, "
+              f"{last.iterations} iterations to gap {last.gap_reached:.1e}, "
               f"rel={rel:.3f} u_sup={rep.u_sup:.2f} "
               f"(target {(BALL_ALPHA - beta) / 2:.2f}) "
               f"max|r|={absr.max():.2e} |r| outside ball={outside:.1%} "

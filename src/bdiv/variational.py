@@ -58,7 +58,10 @@ CHECK_EVERY = 50
 # one costs 132 ns per cell at 16^2 (34 us), 48.9 at 32^2 (50 us) and 26.8
 # at 64^2 (110 us) (BENCH_10.json, one core).  A 32^2 iteration costs 0.45
 # of a 64^2 one, but a 16^2 iteration 0.68 of a 32^2 one, too much for the
-# probes a coarse search adds.
+# probes a coarse search adds.  End to end the floor hardly matters: on the
+# 64^2 Nirenberg field (scripts/ledger.py probes) a floor of 256, which adds
+# a 16^2 level, takes 46.0 M cell-iterations at p = 2 against 46.5 M, and
+# 195.1 M at p = 1 against 194.6 M.  512 keeps every 16^2 solve as it was.
 COARSE_MIN_CELLS = 512
 
 
@@ -365,11 +368,13 @@ def minimize_flambda(
     goes on to the gap tol_objective only when the cheap certificate defect
     lies within twice the band 0.5 tol_residual of zero; the search stops at
     the first probe inside the band, so that verdict always rests on a
-    tight solve.  Every inner solve appends one Probe to report.probes, and
-    the search reads its state from them: the duality-gap floor of each
-    solve, saturation, and the returned u, that of the feasible record of
-    least objective the search found.  report.gap_met says whether the
-    solve behind u reached tol_objective or stopped at the inner_iters cap.
+    tight solve; a cheap probe inside the band whose tight solve the budget
+    cut off leaves the search unconverged.  Every inner solve appends one
+    Probe to report.probes, and the search reads its state from them: the
+    duality-gap floor of each solve, saturation, and the returned u, that
+    of the feasible record of least objective the search found.
+    report.gap_met says whether the solve behind u reached tol_objective
+    or stopped at the inner_iters cap.
 
     Coarse start.  When every axis has an even length and the 2^d-cell
     average of f has at least COARSE_MIN_CELLS cells, the search first runs
@@ -381,13 +386,15 @@ def minimize_flambda(
     probe is a secant step along the slope of the coarse level's final
     bracket, and once both signs of the defect are seen the Illinois
     narrowing above takes over.  A trivial, unconverged or saturated coarse
-    level leaves the cold search from nu = 0.25.  The coarse solves are
-    recorded in report.coarse, and all levels share one budget: the
-    iterations times the cells of every solve sum to at most max_iters times
-    the cells of f (a coarse level, with its own coarser levels, gets at
-    most max_iters iterations on its cells).  report.iterations counts the
-    iterations on f's grid, report.cell_iterations those of every level
-    times their cells.
+    level leaves the cold search from nu = 0.25; at p = 1 a coarse level
+    stops, unconverged, once its bracket runs from an unsaturated probe
+    below the root to a saturated one, where it would only close in on the
+    saturation edge.  The coarse solves are recorded in report.coarse, and
+    all levels share one budget: the iterations times the cells of every
+    solve sum to at most max_iters times the cells of f (a coarse level,
+    with its own coarser levels, gets at most max_iters iterations on its
+    cells).  report.iterations counts the iterations on f's grid,
+    report.cell_iterations those of every level times their cells.
     """
     grid = f.grid
     lam, p = cfg.lam, cfg.p
@@ -513,12 +520,14 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
 
     def consider(rec: Probe) -> bool:
         """Keep rec as best if it is feasible with a lower objective;
-        return whether it lies inside the band."""
+        return whether it settles the search: inside the band and, on the
+        caller's grid, from a solve to cfg.tol_objective (probe returns a
+        cheap record inside the band only once the budget is spent)."""
         nonlocal best
         in_band = abs(rec.defect) <= band * rec.scale and not rec.saturated
         if (rec.defect <= 0 or in_band) and (best is None or rec.objective < best[0].objective):
             best = (rec, state.w.copy())
-        return in_band
+        return in_band and (not certify or rec.gap == cfg.tol_objective)
 
     # defect at nu = 0 is free: r = f
     d_zero = tv_norm(ScalarField(grid, farr), "isotropic") - target
@@ -563,6 +572,9 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
 
     side = 0  # Illinois false position on the bracketed certificate defect
     while not converged and left() > 0:
+        # p = 1 closing in on the saturation edge: the start is dropped anyway
+        if not certify and nu_lo > 0.0 and any(q.saturated and q.nu == nu_hi for q in probes):
+            break
         if d_hi < 0 < d_lo:
             nu = nu_hi - d_hi * (nu_hi - nu_lo) / (d_hi - d_lo)
             width = nu_hi - nu_lo
@@ -571,7 +583,7 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
             nu = 0.5 * (nu_lo + nu_hi)
         rec = probe(nu)
         d = rec.defect
-        in_band = consider(rec)
+        settled = consider(rec)
         if d > 0:
             nu_lo, d_lo = nu, d
             if side == -1:
@@ -585,8 +597,8 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
         tiny = (nu_hi - nu_lo) <= 1e-14 * max(nu_hi, 1.0)
         # exact-penalty optimum: the residual vanished at a bracketed edge
         sat_edge = rec.saturated and (nu_hi - nu_lo) <= 1e-3 * max(nu_hi, 1e-300)
-        if in_band or tiny or sat_edge:
-            converged = in_band or sat_edge
+        if settled or tiny or sat_edge:
+            converged = settled or sat_edge
             break
 
     if not certify:

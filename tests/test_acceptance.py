@@ -9,10 +9,10 @@ and the commands that reproduce them:
   lam = 1/||f||_2 plus Helmholtz on its unique residual gives 0.149 at
   N = 50, below the table's 0.2096 - 0.02; the table's setup is not in
   the repository),
-* criterion 2, the ball closed form (the box without flux through its low
-  faces spreads the residual to the edges, and the forward-difference TV
-  of the digital disc is 1.164 times its perimeter, so the error stays
-  >= 0.14 at any n).
+* criterion 2, the ball closed form (the iteration budget runs out at
+  n >= 128, the box without flux through its low faces spreads the
+  residual to the edges, and the forward-difference TV of the digital disc
+  is 1.164 times its perimeter, so the error stays >= 0.14 at any n).
 """
 
 import csv

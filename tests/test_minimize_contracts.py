@@ -3,11 +3,14 @@ records, on d = 1, 2, 3 grids that are boxes, tori or mixed, with
 anisotropic spacing, for p = 1 and p = 2.  Grids and budgets are small so
 the suite stays fast."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdiv.examples import nirenberg_field
 from bdiv.fields import Grid, ScalarField, discrete_divergence
 from bdiv.norms import lp_norm, sup_norm_vector
 from bdiv.variational import (
@@ -191,3 +194,44 @@ def test_checkerboard_average_zero_takes_the_cold_search(p):
         u, r, rep = minimize_flambda(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
     assert rep.converged and rep.coarse == [] and rep.probes[0].nu == 0.25
+
+
+@pytest.mark.parametrize("shape", [(46, 46), (47, 46)], ids=["coarse", "cold"])
+def test_budget_spent_on_a_cheap_probe_in_the_band_is_not_converged(shape):
+    """A budget that runs out on a cheap probe inside the band, before the
+    tight solve at its nu: the search reports converged=False, since no
+    tight solve backs the verdict."""
+    f = ScalarField(Grid(shape, -1.0, 1.0, True),
+                    np.random.default_rng(0).standard_normal(shape))
+    cfg = VariationalConfig(lam=30.0 / _phi_p_tv(f, 2), max_iters=20_000,
+                            inner_iters=2000)
+    _, _, full = minimize_flambda(f, cfg)
+    assert full.converged
+    band = 0.5 * cfg.tol_residual
+    i = next(i for i, q in enumerate(full.probes)
+             if q.gap == 1e-4 and abs(q.defect) <= band * q.scale)
+    # max_iters that leaves the caller's grid exactly the iterations up to
+    # and including that cheap probe, after the coarse levels' share
+    cells = f.grid.size
+    coarse = sum(q.iterations * q.cells for q in full.coarse)
+    spent = sum(q.iterations for q in full.probes[: i + 1])
+    cut = replace(cfg, max_iters=spent - (-coarse // cells))
+    u, r, rep = minimize_flambda(f, cut)
+    assert rep.coarse == full.coarse and rep.probes == full.probes[: i + 1]
+    assert not rep.converged and not rep.gap_met
+    _check_contracts(f, cut, u, r, rep)
+
+
+def test_p1_coarse_level_stops_short_of_the_saturation_edge():
+    """At p = 1 a coarse level whose bracket runs from an unsaturated probe
+    below the root to a saturated one stops there, unconverged, and the
+    caller's grid runs the cold search."""
+    f = nirenberg_field(46)
+    cfg = VariationalConfig(lam=1.0, p=1, max_iters=60_000, inner_iters=2000)
+    u, r, rep = minimize_flambda(f, cfg)
+    _check_contracts(f, cfg, u, r, rep)
+    assert rep.converged and rep.probes[0].nu == 0.25
+    last = rep.coarse[-1]
+    assert last.defect > 0 and not last.saturated
+    above = [q for q in rep.coarse if q.nu > last.nu]
+    assert above and min(above, key=lambda q: q.nu).saturated

@@ -26,9 +26,10 @@ that one too, labelled "parent") it records:
 
 With --parent every round runs both checkouts, alternating which goes
 first, so the two columns are paired.  Every child process is
-single-threaded numpy.  Each column names the commit of its checkout and
-the SHA-256 of the src/ files it measured; the file also records nproc,
-Python and numpy.
+single-threaded numpy.  Each column names the commit of its checkout, the
+SHA-256 of the src/ files it measured and the line count (as wc -l counts
+them) of each src/bdiv/*.py file with their total; the file also records
+nproc, Python and numpy.
 """
 
 from __future__ import annotations
@@ -197,16 +198,24 @@ def src_sha256(tree: Path) -> str:
     return h.hexdigest()
 
 
+def src_lines(tree: Path) -> dict:
+    """Newline count of each src/bdiv/*.py file, as wc -l, and the total."""
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in sorted((tree / "src" / "bdiv").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
 def git_state(tree: Path) -> dict:
     """HEAD of the checkout, whether its sources differ from HEAD, and the
-    hash of the sources measured."""
+    hash and line counts of the sources measured."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree,
                           capture_output=True, text=True, check=False)
     diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src"],
                           cwd=tree, capture_output=True, check=False)
     return {"commit": head.stdout.strip() or None,
             "src_modified": diff.returncode != 0,
-            "src_sha256": src_sha256(tree)}
+            "src_sha256": src_sha256(tree),
+            "src_lines": src_lines(tree)}
 
 
 def workload_names(tree: Path) -> tuple[list[str], float]:

@@ -96,27 +96,22 @@ def line_energy(f: ScalarField, axis: int, index: int) -> float:
     return float(np.sum(np.abs(line))) * grid.h[axis]
 
 
-def _axis_certificates(
-    part: np.ndarray, grid, axis: int, bound: float
-) -> list[LineCertificate]:
-    vals = np.sum(np.abs(part), axis=axis) * grid.h[axis]
-    return [
-        LineCertificate(axis=axis, index=i, value=float(v), bound=bound)
-        for i, v in enumerate(vals.ravel())
-    ]
-
-
-def _assemble_2d(
-    f: ScalarField, parts_arr: list[np.ndarray], bound: float
-) -> tuple[list[ScalarField], VectorField, list[LineCertificate]]:
+def _assemble(
+    f: ScalarField, parts: list[np.ndarray], masks: list[np.ndarray], bound: float
+) -> SplitResult:
+    """The splitting of f into parts, part j integrated along axis j: u_j is
+    its running primitive, the certificates its axis-j line integrals
+    against bound."""
     grid = f.grid
-    parts = [ScalarField(grid, a) for a in parts_arr]
-    u = VectorField(
-        [cumulative_primitive(parts[0], 0), cumulative_primitive(parts[1], 1)]
-    )
-    certs = _axis_certificates(parts_arr[0], grid, 0, bound)
-    certs += _axis_certificates(parts_arr[1], grid, 1, bound)
-    return parts, u, certs
+    fields = [ScalarField(grid, a) for a in parts]
+    certs = []
+    for j, part in enumerate(parts):
+        vals = np.sum(np.abs(part), axis=j) * grid.h[j]
+        certs += [LineCertificate(axis=j, index=i, value=float(v), bound=bound)
+                  for i, v in enumerate(vals.ravel())]
+    u = VectorField([cumulative_primitive(g, j) for j, g in enumerate(fields)])
+    return SplitResult(parts=fields, masks=[RegionMask(grid, m) for m in masks],
+                       u=u, certificates=certs)
 
 
 def _line_norms(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
@@ -146,9 +141,7 @@ def split_onestep_2d(f: ScalarField) -> SplitResult:
     # where H + V = 0 the whole cross of f vanishes, so f1 = f2 = 0 is the
     # exact splitting there; enforce rather than rely on the weights
     f2part[denom == 0.0] = 0.0
-    bound = lp_norm(f, 2)
-    parts, u, certs = _assemble_2d(f, [f1, f2part], bound)
-    return SplitResult(parts=parts, masks=[], u=u, certificates=certs)
+    return _assemble(f, [f1, f2part], [], lp_norm(f, 2))
 
 
 def split_disjoint_2d(f: ScalarField) -> SplitResult:
@@ -160,10 +153,7 @@ def split_disjoint_2d(f: ScalarField) -> SplitResult:
     sel1 = h_line[None, :] <= v_line[:, None]
     f1 = np.where(sel1, fa, 0.0)
     f2part = fa - f1
-    bound = lp_norm(f, 2)
-    parts, u, certs = _assemble_2d(f, [f1, f2part], bound)
-    masks = [RegionMask(f.grid, sel1), RegionMask(f.grid, ~sel1)]
-    return SplitResult(parts=parts, masks=masks, u=u, certificates=certs)
+    return _assemble(f, [f1, f2part], [sel1, ~sel1], lp_norm(f, 2))
 
 
 def _inductive_masks(g: np.ndarray, hs: tuple[float, ...]) -> list[np.ndarray]:
@@ -211,14 +201,8 @@ def split_inductive_nd(f: ScalarField) -> SplitResult:
             u=VectorField.zeros(grid),
             certificates=[],
         )
-    mask_arrays = _inductive_masks(f.values / bound, grid.h)
-    parts = [ScalarField(grid, np.where(m, f.values, 0.0)) for m in mask_arrays]
-    u = VectorField([cumulative_primitive(parts[j], j) for j in range(d)])
-    certs: list[LineCertificate] = []
-    for j in range(d):
-        certs += _axis_certificates(parts[j].values, grid, j, bound)
-    masks = [RegionMask(grid, m) for m in mask_arrays]
-    return SplitResult(parts=parts, masks=masks, u=u, certificates=certs)
+    masks = _inductive_masks(f.values / bound, grid.h)
+    return _assemble(f, [np.where(m, f.values, 0.0) for m in masks], masks, bound)
 
 
 def decompose_weak_l2(
@@ -280,10 +264,5 @@ def decompose_weak_l2(
         leftover = active_cols[:, None] & active_rows[None, :]
         assign1 |= leftover
 
-    f1 = np.where(assign1, f.values, 0.0)
-    f2 = np.where(assign2, f.values, 0.0)
-    bound = tau * wnorm
-    parts, u, certs = _assemble_2d(f, [f1, f2], bound)
-    masks = [RegionMask(grid, assign1), RegionMask(grid, assign2)]
-    result = SplitResult(parts=parts, masks=masks, u=u, certificates=certs)
-    return result, trace
+    parts = [np.where(assign1, f.values, 0.0), np.where(assign2, f.values, 0.0)]
+    return _assemble(f, parts, [assign1, assign2], tau * wnorm), trace

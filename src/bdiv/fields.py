@@ -10,10 +10,10 @@ Conventions used throughout the package:
 * this module holds the only implementation of that stencil pair,
   ``_diff_calls``: it binds, once, the few ufunc calls on the slices 1:,
   :-1, :1 and -1: along the axis (index tuples built once per (ndim,
-  axis)) that write a difference into a preallocated buffer; the in-place
-  ``_*_into(..., out)`` forms run those calls, the functions below
-  allocate and call them, and solver hot loops keep the bound lists of
-  ``_divergence_calls``/``_gradient_calls`` and rerun them,
+  axis)) that write a difference into a preallocated buffer; the functions
+  below allocate a buffer and ``_run`` the bound lists of ``_diff_calls``,
+  ``_divergence_calls`` or ``_gradient_calls`` once, and solver hot loops
+  keep those lists and rerun them,
 * reductions go through ``np.sum`` (fixed pairwise tree), so results are
   bit-stable across runs.
 """
@@ -175,10 +175,6 @@ class RegionMask:
         self.grid = grid
         self.flags = flags
 
-    @property
-    def measure(self) -> float:
-        return float(np.sum(self.flags)) * self.grid.cell_volume
-
 
 # -- raw-array difference stencils -------------------------------------------
 #
@@ -246,53 +242,29 @@ def _run(calls) -> None:
         call()
 
 
-def _backward_diff_into(
-    src: np.ndarray, axis: int, h: float, periodic: bool, out: np.ndarray
-) -> np.ndarray:
-    """out <- backward difference of src along axis, divided by h."""
-    _run(_diff_calls(src, axis, h, periodic, out, False))
-    return out
-
-
-def _forward_diff_into(
-    src: np.ndarray, axis: int, h: float, periodic: bool, out: np.ndarray
-) -> np.ndarray:
-    """out <- forward difference of src along axis, divided by h."""
-    _run(_diff_calls(src, axis, h, periodic, out, True))
-    return out
-
-
-def _divergence_into(
-    v: np.ndarray, grid: Grid, out: np.ndarray, tmp: np.ndarray | None
-) -> None:
-    """out <- divergence of the stacked (d, ...) array v; tmp is scratch."""
-    _run(_divergence_calls(v, grid, out, tmp))
-
-
-def _gradient_into(g: np.ndarray, grid: Grid, out: np.ndarray) -> None:
-    """out <- forward-difference gradient of g, stacked as (d, ...)."""
-    _run(_gradient_calls(g, grid, out))
-
-
 def backward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    return _backward_diff_into(arr, axis, h, periodic, np.empty_like(arr))
+    out = np.empty_like(arr)
+    _run(_diff_calls(arr, axis, h, periodic, out, False))
+    return out
 
 
 def forward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    return _forward_diff_into(arr, axis, h, periodic, np.empty_like(arr))
+    out = np.empty_like(arr)
+    _run(_diff_calls(arr, axis, h, periodic, out, True))
+    return out
 
 
 def divergence_array(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Backward-difference divergence of a stacked (d, ...) component array."""
     out = np.empty_like(v[0])
-    _divergence_into(v, grid, out, np.empty_like(out) if grid.d > 1 else None)
+    _run(_divergence_calls(v, grid, out, np.empty_like(out) if grid.d > 1 else None))
     return out
 
 
 def gradient_array(g: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward-difference gradient, stacked as a (d, ...) array."""
     out = np.empty((grid.d,) + g.shape)
-    _gradient_into(g, grid, out)
+    _run(_gradient_calls(g, grid, out))
     return out
 
 

@@ -38,7 +38,6 @@ from .fields import (
     ScalarField,
     VectorField,
     _divergence_calls,
-    _divergence_into,
     _gradient_calls,
     _run,
     divergence_array,
@@ -52,6 +51,9 @@ SATURATION_TOL = 1e-3
 
 # FISTA iterations between duality-gap checks of an inner solve
 CHECK_EVERY = 50
+
+# relative duality gap of the cheap solve that opens every probe
+CHEAP_GAP = 1e-4
 
 # least cell count of the 2^d-cell-averaged grid for the coarse start of
 # minimize_flambda.  Below it a FISTA iteration is mostly per-call overhead:
@@ -217,9 +219,11 @@ class _DualState:
     The iteration is built once and then only run: its ufunc calls are
     bound, with the array views they work on, as argument-free
     functools.partial objects.  Bound at construction: the divergence of
-    the extrapolated point _wy into the residual _r (through _tmp) and the
-    gradient of _r into _g, from ``fields``' one stencil builder, and the
-    magnitude of _g into _mag for the duality-gap check.  Bound at the
+    the extrapolated point _wy and of each swap buffer _w2[k] into the
+    residual _r (through _tmp) and the gradient of _r into _g, from
+    ``fields``' one stencil builder, and the magnitude of _g into _mag for
+    the duality-gap check; the residual and the gap check run the
+    divergence calls of the swap buffer that w is.  Bound at the
     start of each solve, since they depend on nu and the step: r *= -nu
     and r += f, then the gradient step, the magnitude, the clip at 1, the
     divide and the two restart subtractions, once for each parity of the
@@ -248,6 +252,7 @@ class _DualState:
         self._g = np.empty(shape)
         self._mag = np.empty(grid.n)
         self._div_wy = _divergence_calls(self._wy, grid, self._r, self._tmp)
+        self._div_w2 = [_divergence_calls(w, grid, self._r, self._tmp) for w in self._w2]
         self._grad_r = _gradient_calls(self._r, grid, self._g)
         self._mag_g = self._magnitude_calls(self._g)
 
@@ -262,19 +267,17 @@ class _DualState:
             calls += [partial(np.multiply, c, c, tmp), partial(np.add, mag, tmp, mag)]
         return calls + [partial(np.sqrt, mag, mag)]
 
-    def _residual_into(self, w: np.ndarray, nu: float) -> np.ndarray:
-        """self._r <- f - nu div w."""
+    def residual(self, nu: float) -> np.ndarray:
+        """f - nu div w in _r, returned without a copy: the next solve or
+        gap check overwrites it."""
+        _run(self._div_w2[self.w is self._w2[1]])
         r = self._r
-        _divergence_into(w, self.grid, r, self._tmp)
         r *= -nu
         r += self.farr
         return r
 
-    def residual(self, nu: float) -> np.ndarray:
-        return self._residual_into(self.w, nu).copy()
-
     def tv_and_gap(self, nu: float) -> tuple[float, float]:
-        self._residual_into(self.w, nu)
+        self.residual(nu)
         _run(self._grad_r)
         _run(self._mag_g)
         g = self._g
@@ -510,7 +513,7 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
         wherever it lies outside twice the certificate band; only inside it
         does the solve continue to cfg.tol_objective, and only on the
         caller's grid.  No solve runs past the budget."""
-        rec = solve(nu, 1e-4)
+        rec = solve(nu, CHEAP_GAP)
         if (not certify or abs(rec.defect) > 2.0 * band * rec.scale
                 or rec.saturated or budget() <= 0):
             return rec
@@ -521,13 +524,16 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
     def consider(rec: Probe) -> bool:
         """Keep rec as best if it is feasible with a lower objective;
         return whether it settles the search: inside the band and, on the
-        caller's grid, from a solve to cfg.tol_objective (probe returns a
-        cheap record inside the band only once the budget is spent)."""
+        caller's grid, from a solve to cfg.tol_objective that ended at a gap
+        no worse than CHEAP_GAP (probe returns a cheap record inside the
+        band once the budget is spent, and a tight solve the budget cuts
+        off can end above the gap of the cheap solve it continued)."""
         nonlocal best
         in_band = abs(rec.defect) <= band * rec.scale and not rec.saturated
         if (rec.defect <= 0 or in_band) and (best is None or rec.objective < best[0].objective):
             best = (rec, state.w.copy())
-        return in_band and (not certify or rec.gap == cfg.tol_objective)
+        tight = rec.gap == cfg.tol_objective and rec.gap_reached <= CHEAP_GAP
+        return in_band and (not certify or tight)
 
     # defect at nu = 0 is free: r = f
     d_zero = tv_norm(ScalarField(grid, farr), "isotropic") - target
@@ -674,9 +680,10 @@ def helmholtz_solve(
 ) -> VectorField:
     """Spectral solution u = grad Lap^{-1} f on a fully periodic grid.
 
-    mode "discrete" divides by the symbol of the backward-difference
-    divergence composed with the forward-difference gradient, so div u = f
-    holds exactly on the grid; mode "continuum" uses -i kappa / |kappa|^2
+    Both modes apply a gradient symbol to f divided by a Laplacian symbol.
+    Mode "discrete" uses those of the forward-difference gradient and of
+    the backward-difference divergence composed with it, so div u = f
+    holds exactly on the grid; mode "continuum" uses i kappa and -|kappa|^2
     for comparison with the analytic solution.
     """
     grid = f.grid
@@ -691,37 +698,21 @@ def helmholtz_solve(
             raise ValueError("data must have zero mean on the torus")
         f = ScalarField(grid, f.values - mean)
 
-    fhat = np.fft.fftn(f.values)
-    shape = grid.n
-    axes_k = []
-    for a in range(grid.d):
-        k = np.fft.fftfreq(shape[a]) * shape[a]
-        bshape = [1] * grid.d
-        bshape[a] = shape[a]
-        axes_k.append(k.reshape(bshape))
-
-    comps = []
-    if mode == "discrete":
-        lap = np.zeros(shape)
-        for a in range(grid.d):
-            lap = lap - 4.0 * np.sin(np.pi * axes_k[a] / shape[a]) ** 2 / grid.h[a] ** 2
-        lap_safe = np.where(lap != 0.0, lap, 1.0)
-        ghat = np.where(lap != 0.0, fhat / lap_safe, 0.0)
-        for a in range(grid.d):
-            splus = (np.exp(2j * np.pi * axes_k[a] / shape[a]) - 1.0) / grid.h[a]
-            comps.append(np.real(np.fft.ifftn(splus * ghat)))
-    else:
-        k2 = np.zeros(shape)
-        kappas = []
-        for a in range(grid.d):
-            length = grid.hi[a] - grid.lo[a]
-            kappa = 2.0 * np.pi * axes_k[a] / length
-            kappas.append(kappa)
-            k2 = k2 + kappa**2
-        k2safe = np.where(k2 != 0.0, k2, 1.0)
-        for a in range(grid.d):
-            uhat = np.where(k2 != 0.0, -1j * kappas[a] / k2safe * fhat, 0.0)
-            comps.append(np.real(np.fft.ifftn(uhat)))
+    # per axis the gradient symbol and lap_a, minus the second-derivative one
+    grads, lap = [], np.zeros(grid.n)
+    for a, n in enumerate(grid.n):
+        k = (np.fft.fftfreq(n) * n).reshape([n if b == a else 1 for b in range(grid.d)])
+        if mode == "discrete":
+            grad = (np.exp(2j * np.pi * k / n) - 1.0) / grid.h[a]
+            lap_a = 4.0 * np.sin(np.pi * k / n) ** 2 / grid.h[a] ** 2
+        else:
+            kappa = 2.0 * np.pi * k / (grid.hi[a] - grid.lo[a])
+            grad, lap_a = 1j * kappa, kappa**2
+        grads.append(grad)
+        lap = lap - lap_a
+    lap_safe = np.where(lap != 0.0, lap, 1.0)
+    ghat = np.where(lap != 0.0, np.fft.fftn(f.values) / lap_safe, 0.0)
+    comps = [np.real(np.fft.ifftn(grad * ghat)) for grad in grads]
     return VectorField.from_arrays(grid, comps)
 
 
@@ -752,19 +743,8 @@ def two_step(
     total = u1.as_array() + u2.as_array()
     u = VectorField.from_arrays(f.grid, list(total))
     r = ScalarField(f.grid, f.values - divergence_array(total, f.grid))
-    report = SolverReport(
-        iterations=rep.iterations,
-        objective=_report_objective(total, r, cfg.lam, cfg.p),
-        u_sup=sup_norm_vector(u),
-        r_norm=lp_norm(r, 2),
-        phi_tv=rep.phi_tv,
-        converged=rep.converged,
-        gap_met=rep.gap_met,
-        cell_iterations=rep.cell_iterations,
-        probes=rep.probes,
-        coarse=rep.coarse,
-    )
-    return u, report
+    return u, replace(rep, objective=_report_objective(total, r, cfg.lam, cfg.p),
+                      u_sup=sup_norm_vector(u), r_norm=lp_norm(r, 2), trivial=False)
 
 
 # -- hierarchical schemes ------------------------------------------------------

@@ -196,28 +196,50 @@ def test_checkerboard_average_zero_takes_the_cold_search(p):
     assert rep.converged and rep.coarse == [] and rep.probes[0].nu == 0.25
 
 
+def _cut_after_cheap_probe_in_band(shape, inner_iters, extra):
+    """The full solve of a random torus field, the index i of its first
+    cheap probe inside the band, and the solve again with a max_iters that
+    leaves the caller's grid the iterations up to and including that probe
+    plus extra, after the coarse levels' share."""
+    f = ScalarField(Grid(shape, -1.0, 1.0, True),
+                    np.random.default_rng(0).standard_normal(shape))
+    cfg = VariationalConfig(lam=30.0 / _phi_p_tv(f, 2), max_iters=20_000,
+                            inner_iters=inner_iters)
+    _, _, full = minimize_flambda(f, cfg)
+    band = 0.5 * cfg.tol_residual
+    i = next(i for i, q in enumerate(full.probes)
+             if q.gap == 1e-4 and abs(q.defect) <= band * q.scale)
+    coarse = sum(q.iterations * q.cells for q in full.coarse)
+    spent = sum(q.iterations for q in full.probes[: i + 1])
+    cut = replace(cfg, max_iters=spent + extra - (-coarse // f.grid.size))
+    return f, full, i, cut, minimize_flambda(f, cut)
+
+
 @pytest.mark.parametrize("shape", [(46, 46), (47, 46)], ids=["coarse", "cold"])
 def test_budget_spent_on_a_cheap_probe_in_the_band_is_not_converged(shape):
     """A budget that runs out on a cheap probe inside the band, before the
     tight solve at its nu: the search reports converged=False, since no
     tight solve backs the verdict."""
-    f = ScalarField(Grid(shape, -1.0, 1.0, True),
-                    np.random.default_rng(0).standard_normal(shape))
-    cfg = VariationalConfig(lam=30.0 / _phi_p_tv(f, 2), max_iters=20_000,
-                            inner_iters=2000)
-    _, _, full = minimize_flambda(f, cfg)
+    f, full, i, cut, (u, r, rep) = _cut_after_cheap_probe_in_band(shape, 2000, 0)
     assert full.converged
-    band = 0.5 * cfg.tol_residual
-    i = next(i for i, q in enumerate(full.probes)
-             if q.gap == 1e-4 and abs(q.defect) <= band * q.scale)
-    # max_iters that leaves the caller's grid exactly the iterations up to
-    # and including that cheap probe, after the coarse levels' share
-    cells = f.grid.size
-    coarse = sum(q.iterations * q.cells for q in full.coarse)
-    spent = sum(q.iterations for q in full.probes[: i + 1])
-    cut = replace(cfg, max_iters=spent - (-coarse // cells))
-    u, r, rep = minimize_flambda(f, cut)
     assert rep.coarse == full.coarse and rep.probes == full.probes[: i + 1]
+    assert not rep.converged and not rep.gap_met
+    _check_contracts(f, cut, u, r, rep)
+
+
+@pytest.mark.parametrize("shape", [(46, 46), (47, 46)], ids=["coarse", "cold"])
+def test_budget_cut_tight_solve_above_the_cheap_gap_is_not_converged(shape):
+    """The inner_iters cap stops a cheap probe inside the band above the
+    cheap gap 1e-4, and the budget ends three iterations into its tight
+    solve: that record lies inside the band but ended above 1e-4, so it
+    settles nothing and the search reports converged=False."""
+    f, full, i, cut, (u, r, rep) = _cut_after_cheap_probe_in_band(shape, 100, 3)
+    assert full.probes[i].gap_reached > 1e-4
+    assert rep.coarse == full.coarse and rep.probes[:-1] == full.probes[: i + 1]
+    tight = rep.probes[-1]
+    assert tight.gap == cut.tol_objective and tight.iterations == 3
+    band = 0.5 * cut.tol_residual
+    assert abs(tight.defect) <= band * tight.scale and tight.gap_reached > 1e-4
     assert not rep.converged and not rep.gap_met
     _check_contracts(f, cut, u, r, rep)
 

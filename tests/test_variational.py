@@ -71,8 +71,10 @@ class TestHelmholtz:
             ).max()
 
     def test_round_trip_1d_3d(self):
-        for shape in ((32,), (8, 8, 8)):
-            g = Grid(shape, -1.0, 1.0, periodic=True)
+        """d = 1 and 3, and a 2-D torus of unequal sides and spacing."""
+        for shape, lo, hi in (((32,), -1.0, 1.0), ((8, 8, 8), -1.0, 1.0),
+                              ((24, 16), (0.0, -1.0), (3.0, 0.0))):
+            g = Grid(shape, lo, hi, periodic=True)
             rng = np.random.default_rng(5)
             f = mean_zero(ScalarField(g, rng.standard_normal(shape)))
             u = helmholtz_solve(f)
@@ -80,6 +82,28 @@ class TestHelmholtz:
             assert np.abs(div.values - f.values).max() <= 1e-10 * np.abs(
                 f.values
             ).max()
+
+    @pytest.mark.parametrize(
+        "shape, lo, hi, axis, m",
+        [
+            ((32,), -1.0, 1.0, 0, 1),
+            ((8, 10, 12), -1.0, 1.0, 2, 2),
+            ((24, 16), (0.0, -1.0), (3.0, 0.0), 0, 2),
+            ((24, 16), (0.0, -1.0), (3.0, 0.0), 1, 1),
+        ],
+        ids=["d1", "d3", "aniso-x", "aniso-y"],
+    )
+    def test_continuum_single_mode(self, shape, lo, hi, axis, m):
+        """Continuum mode on sin(kappa x_a), kappa = 2 pi m / L_a, returns
+        u_a = -cos(kappa x_a) / kappa and zero in the other components."""
+        g = Grid(shape, lo, hi, periodic=True)
+        kappa = 2.0 * np.pi * m / (g.hi[axis] - g.lo[axis])
+        x = g.meshgrid()[axis]
+        f = ScalarField(g, np.sin(kappa * x))
+        u = helmholtz_solve(f, mode="continuum").as_array()
+        expect = np.zeros_like(u)
+        expect[axis] = -np.cos(kappa * x) / kappa
+        assert np.abs(u - expect).max() <= 1e-10
 
     def test_rejects_nonperiodic(self):
         g = Grid((8, 8), -1.0, 1.0)

@@ -371,8 +371,9 @@ def minimize_flambda(
     goes on to the gap tol_objective only when the cheap certificate defect
     lies within twice the band 0.5 tol_residual of zero; the search stops at
     the first probe inside the band, so that verdict always rests on a
-    tight solve; a cheap probe inside the band whose tight solve the budget
-    cut off leaves the search unconverged.  Every inner solve appends one
+    tight solve that ended at or below the cheap gap; a budget that cuts
+    the tight solve off before it starts, or ends it above that gap, leaves
+    the search unconverged.  Every inner solve appends one
     Probe to report.probes, and the search reads its state from them: the
     duality-gap floor of each solve, saturation, and the returned u, that
     of the feasible record of least objective the search found.

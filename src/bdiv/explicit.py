@@ -1,6 +1,6 @@
 """Explicit splitting constructions of bounded solutions of div u = f.
 
-Three constructions, all of which split f into parts f_j whose running
+Four constructions, all of which split f into parts f_j whose running
 integrals along one axis each stay bounded:
 
 * one-step 2-D weights alpha = V/(H+V), beta = H/(H+V) built from the

@@ -13,7 +13,9 @@ Conventions used throughout the package:
   axis)) that write a difference into a preallocated buffer; the functions
   below allocate a buffer and ``_run`` the bound lists of ``_diff_calls``,
   ``_divergence_calls`` or ``_gradient_calls`` once, and solver hot loops
-  keep those lists and rerun them,
+  keep those lists and rerun them; with h = 1 ``_diff_calls`` binds the
+  plain difference, no division, which is how the FISTA loop runs its
+  stencils in unit spacing,
 * reductions go through ``np.sum`` (fixed pairwise tree), so results are
   bit-stable across runs.
 """
@@ -200,7 +202,8 @@ def _diff_calls(
 ) -> list[Callable[[], np.ndarray]]:
     """Bound ufunc calls that set out to the backward (forward) difference
     of src along axis divided by h: one subtract, one edge fix and one
-    division, over views taken here once."""
+    division, over views taken here once; no division when h == 1.0, since
+    x / 1.0 == x exactly."""
     tail, head, first, last = _axis_slices(src.ndim, axis)
     inner, edge = (head, last) if forward else (tail, first)
     calls = [functools.partial(np.subtract, src[tail], src[head], out[inner])]
@@ -210,30 +213,32 @@ def _diff_calls(
         calls.append(functools.partial(np.multiply, src[last], -1.0, out[edge]))
     else:
         calls.append(functools.partial(np.copyto, out[edge], src[first]))
-    calls.append(functools.partial(np.divide, out, h, out))
+    if h != 1.0:
+        calls.append(functools.partial(np.divide, out, h, out))
     return calls
 
 
 def _divergence_calls(
-    v: np.ndarray, grid: Grid, out: np.ndarray, tmp: np.ndarray | None
+    v: np.ndarray, h: Sequence[float], periodic: Sequence[bool], out: np.ndarray,
+    tmp: np.ndarray | None,
 ) -> list[Callable[[], np.ndarray]]:
     """Bound calls setting out to the divergence of the stacked (d, ...)
-    array v; tmp is scratch."""
-    calls = _diff_calls(v[0], 0, grid.h[0], grid.periodic[0], out, False)
-    for a in range(1, grid.d):
-        calls += _diff_calls(v[a], a, grid.h[a], grid.periodic[a], tmp, False)
+    array v with per-axis spacing h; tmp is scratch."""
+    calls = _diff_calls(v[0], 0, h[0], periodic[0], out, False)
+    for a in range(1, len(h)):
+        calls += _diff_calls(v[a], a, h[a], periodic[a], tmp, False)
         calls.append(functools.partial(np.add, out, tmp, out))
     return calls
 
 
 def _gradient_calls(
-    g: np.ndarray, grid: Grid, out: np.ndarray
+    g: np.ndarray, h: Sequence[float], periodic: Sequence[bool], out: np.ndarray
 ) -> list[Callable[[], np.ndarray]]:
-    """Bound calls setting out to the forward-difference gradient of g,
-    stacked as (d, ...)."""
+    """Bound calls setting out to the forward-difference gradient of g with
+    per-axis spacing h, stacked as (d, ...)."""
     calls = []
-    for a in range(grid.d):
-        calls += _diff_calls(g, a, grid.h[a], grid.periodic[a], out[a], True)
+    for a in range(len(h)):
+        calls += _diff_calls(g, a, h[a], periodic[a], out[a], True)
     return calls
 
 
@@ -257,14 +262,15 @@ def forward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.nda
 def divergence_array(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Backward-difference divergence of a stacked (d, ...) component array."""
     out = np.empty_like(v[0])
-    _run(_divergence_calls(v, grid, out, np.empty_like(out) if grid.d > 1 else None))
+    tmp = np.empty_like(out) if grid.d > 1 else None
+    _run(_divergence_calls(v, grid.h, grid.periodic, out, tmp))
     return out
 
 
 def gradient_array(g: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward-difference gradient, stacked as a (d, ...) array."""
     out = np.empty((grid.d,) + g.shape)
-    _run(_gradient_calls(g, grid, out))
+    _run(_gradient_calls(g, grid.h, grid.periodic, out))
     return out
 
 

@@ -213,29 +213,40 @@ class _DualState:
     root of the squared components summed in axis order (np.abs for d = 1),
     so the TV the solver reports is ``tv_norm(r, "isotropic")`` bit for bit.
     The restart sign is one dot product <wy - w_new, w_new - w>, taken in
-    place in wy and the gradient buffer, whose difference the momentum
-    update reuses.
+    place in wy and _g, whose difference the momentum update reuses.
+
+    The iteration runs in unit-spacing differences D-_a, D+_a.  With h0 =
+    h[0] and rho_a = h_a / h0 (exactly 1.0 on axis 0 and on every axis of
+    an isotropic grid), the residual r = f - nu sum_a D-_a wy_a / h_a and
+    the step w_new_a = wy_a - step D+_a r / h_a become
+        q = c sum_a D-_a wy_a / rho_a + f_s,   w_new_a = wy_a + D+_a q / rho_a
+    with q = -(step / h0) r and two per-solve constants, the scalar c =
+    step nu / h0^2 and the array f_s = -(step / h0) f: no cell array is
+    divided by h or scaled by the step, and a stencil divides by rho_a only
+    where it is not 1.0.  The gap check keeps the h-spaced stencils, so its
+    TV is unchanged.
 
     The iteration is built once and then only run: its ufunc calls are
     bound, with the array views they work on, as argument-free
-    functools.partial objects.  Bound at construction: the divergence of
-    the extrapolated point _wy and of each swap buffer _w2[k] into the
-    residual _r (through _tmp) and the gradient of _r into _g, from
-    ``fields``' one stencil builder, and the magnitude of _g into _mag for
-    the duality-gap check; the residual and the gap check run the
-    divergence calls of the swap buffer that w is.  Bound at the
-    start of each solve, since they depend on nu and the step: r *= -nu
-    and r += f, then the gradient step, the magnitude, the clip at 1, the
-    divide and the two restart subtractions, once for each parity of the
-    w/w_new swap.  Called directly: np.vdot and the coefficient-dependent
-    momentum update.
+    functools.partial objects.  Bound at construction, from ``fields``' one
+    stencil builder: the rho-spaced divergence of the extrapolated point
+    _wy into _r (through _tmp) and the rho-spaced gradient of _r straight
+    into each swap buffer _w2[k]; for the residual and the gap check, the
+    h-spaced divergence of each _w2[k] into _r and the h-spaced gradient of
+    _r into _g, and the magnitude of _g into _mag.  The residual and the
+    gap check run the divergence calls of the swap buffer that w is.  At
+    the start of each solve _fs is filled with f_s, and the calls that
+    depend on c are bound, once for each parity of the w/w_new swap: q *= c
+    and q += f_s, w_new += wy, the magnitude, the clip at 1, the divide and
+    the two restart subtractions.  Called directly: np.vdot and the
+    coefficient-dependent momentum update.
 
     The arrays are allocated at construction; a solve allocates none.  w is
     one of the two swap buffers _w2, and a solve starts from whichever it
-    is; _wy holds the extrapolated point; _r the residual; _tmp the
-    per-component scratch of the divergence and the magnitude; _g the
-    gradient and, once the step is taken, the difference w_new - w; the
-    duality-gap check also works in _g; _mag holds the magnitude.
+    is; _wy holds the extrapolated point; _r the residual, or q in the
+    iteration; _fs holds f_s; _tmp the per-component scratch of the
+    divergence and the magnitude; _g the difference w_new - w, and the
+    gradient of the gap check; _mag holds the magnitude.
     """
 
     def __init__(self, farr: np.ndarray, grid: Grid):
@@ -243,17 +254,22 @@ class _DualState:
         self.grid = grid
         self.vol = grid.cell_volume
         self.lips = sum(4.0 / h**2 for h in grid.h)  # ||div||^2
+        self.h0 = grid.h[0]
+        rho = tuple(h / self.h0 for h in grid.h)
         shape = (grid.d,) + grid.n
         self._w2 = (np.zeros(shape), np.empty(shape))
         self.w = self._w2[0]
         self._wy = np.empty(shape)
         self._r = np.empty(grid.n)
+        self._fs = np.empty(grid.n)
         self._tmp = np.empty(grid.n) if grid.d > 1 else None
         self._g = np.empty(shape)
         self._mag = np.empty(grid.n)
-        self._div_wy = _divergence_calls(self._wy, grid, self._r, self._tmp)
-        self._div_w2 = [_divergence_calls(w, grid, self._r, self._tmp) for w in self._w2]
-        self._grad_r = _gradient_calls(self._r, grid, self._g)
+        self._div_wy = _divergence_calls(self._wy, rho, grid.periodic, self._r, self._tmp)
+        self._grad_q = [_gradient_calls(self._r, rho, grid.periodic, w) for w in self._w2]
+        self._div_w2 = [_divergence_calls(w, grid.h, grid.periodic, self._r, self._tmp)
+                        for w in self._w2]
+        self._grad_r = _gradient_calls(self._r, grid.h, grid.periodic, self._g)
         self._mag_g = self._magnitude_calls(self._g)
 
     def _magnitude_calls(self, g: np.ndarray) -> list[Callable]:
@@ -286,19 +302,17 @@ class _DualState:
         gap = nu * (tv + float(g.sum()) * self.vol)
         return tv, gap
 
-    def _iteration_calls(
-        self, nu: float, step: float, w: np.ndarray, w_new: np.ndarray
-    ) -> list[Callable]:
-        """Bound calls of one iteration up to the restart dot product: the
-        residual and gradient at _wy, w_new <- the projected gradient step
+    def _iteration_calls(self, c: float, k: int) -> list[Callable]:
+        """Bound calls of one iteration from w = _w2[k] up to the restart dot
+        product: q at _wy in _r, w_new = _w2[1 - k] <- the projected step
         from _wy, and the restart terms _g <- w_new - w, _wy <- _wy - w_new."""
-        r, g, wy, mag = self._r, self._g, self._wy, self._mag
+        q, g, wy, mag = self._r, self._g, self._wy, self._mag
+        w, w_new = self._w2[k], self._w2[1 - k]
         return [
             *self._div_wy,
-            partial(np.multiply, r, -nu, r),
-            partial(np.add, r, self.farr, r),
-            *self._grad_r,
-            partial(np.multiply, g, -step, w_new),
+            partial(np.multiply, q, c, q),
+            partial(np.add, q, self._fs, q),
+            *self._grad_q[1 - k],
             partial(np.add, w_new, wy, w_new),
             *self._magnitude_calls(w_new),
             partial(np.maximum, mag, 1.0, out=mag),  # positional out deprecated
@@ -325,11 +339,10 @@ class _DualState:
             tv, gap = self.tv_and_gap(nu)
             return tv, 0, False, gap / max(nu * max(tv, tv_ref), 1e-300)
         step = 1.0 / (nu * self.lips)  # descent step times nu folded in
-        w2, wy, dw = self._w2, self._wy, self._g  # _g is free after the step
-        calls = (
-            self._iteration_calls(nu, step, w2[0], w2[1]),
-            self._iteration_calls(nu, step, w2[1], w2[0]),
-        )
+        np.multiply(self.farr, -(step / self.h0), out=self._fs)
+        c = step * nu / self.h0**2
+        w2, wy, dw = self._w2, self._wy, self._g
+        calls = (self._iteration_calls(c, 0), self._iteration_calls(c, 1))
         k = 0 if self.w is w2[0] else 1  # w is w2[k], w_new w2[1 - k]
         np.copyto(wy, self.w)
         tmom = 1.0

@@ -1,9 +1,13 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here shares no code path with the library implementations it
-checks.  Most oracles are plain index loops; the FISTA reference is the
-inner dual loop as it ran before its ufunc calls were bound, whole-array
-operations in the same order, so its iterates are bit-identical targets.
+checks.  Most oracles are plain index loops.  The FISTA references are
+the inner dual loop in whole-array operations: fista_reference in the
+solver's folded unit-spacing arithmetic, in its order of operations, so
+its iterates are bit-identical targets; fista_reference_unfolded as the
+loop ran before the spacing and the step were folded in (the residual,
+its h-spaced gradient, then the step), a check of the folding's algebra
+up to rounding.
 """
 
 from __future__ import annotations
@@ -136,12 +140,13 @@ def fista_tv_and_gap(farr, h, periodic, w, nu):
     return tv, nu * (tv + float((g * w).sum()) * vol)
 
 
-def fista_reference(farr, h, periodic, w, nu, max_iters, gap_rel, tv_ref,
-                    check_every=50):
+def _fista(farr, h, periodic, w, nu, max_iters, gap_rel, tv_ref, check_every,
+           step_from):
     """Projected FISTA with adaptive restart on min_{|w|<=1} 0.5 ||f - nu
     div w||^2 from w, the gap checked every check_every iterations and at
-    the last; returns (TV(r), iterations, gap met, relative gap of the last
-    check, final w)."""
+    the last; step_from(wy, step) returns the unprojected step wy - step
+    grad(f - nu div wy) as a new array.  Returns (TV(r), iterations, gap
+    met, relative gap of the last check, final w)."""
     if max_iters <= 0:
         tv, gap = fista_tv_and_gap(farr, h, periodic, w, nu)
         return tv, 0, False, gap / max(nu * max(tv, tv_ref), 1e-300), w
@@ -150,9 +155,7 @@ def fista_reference(farr, h, periodic, w, nu, max_iters, gap_rel, tv_ref,
     wy = w.copy()
     tmom = 1.0
     for it in range(1, max_iters + 1):
-        g = _ref_gradient(_ref_residual(farr, h, periodic, wy, nu), h, periodic)
-        w_new = g * -step
-        w_new += wy
+        w_new = step_from(wy, step)
         mag = _ref_magnitude(w_new)
         np.maximum(mag, 1.0, out=mag)
         w_new /= mag[None]
@@ -171,6 +174,44 @@ def fista_reference(farr, h, periodic, w, nu, max_iters, gap_rel, tv_ref,
             if gap <= gap_rel * scale:
                 return tv, it, True, gap / scale, w
     return tv, max_iters, False, gap / scale, w
+
+
+def fista_reference(farr, h, periodic, w, nu, max_iters, gap_rel, tv_ref,
+                    check_every=50):
+    """The solver's loop: with h0 = h[0] and rho_a = h_a / h0, q = c sum_a
+    D-_a wy_a / rho_a + f_s for c = step nu / h0^2 and f_s = -(step / h0)
+    f, then w_new_a = D+_a q / rho_a + wy_a; the gap check keeps the
+    h-spaced stencils.  Returns what _fista does."""
+    h0 = h[0]
+    rho = [ha / h0 for ha in h]
+
+    def step_from(wy, step):
+        q = _ref_diff(wy[0], 0, rho[0], periodic[0], False)
+        for a in range(1, len(h)):
+            q += _ref_diff(wy[a], a, rho[a], periodic[a], False)
+        q *= step * nu / h0**2
+        q += farr * -(step / h0)
+        w_new = _ref_gradient(q, rho, periodic)
+        w_new += wy
+        return w_new
+
+    return _fista(farr, h, periodic, w, nu, max_iters, gap_rel, tv_ref,
+                  check_every, step_from)
+
+
+def fista_reference_unfolded(farr, h, periodic, w, nu, max_iters, gap_rel,
+                             tv_ref, check_every=50):
+    """The loop with the residual r = f - nu div wy and the step wy - step
+    grad r in h-spaced stencils.  Returns what _fista does."""
+
+    def step_from(wy, step):
+        w_new = _ref_gradient(_ref_residual(farr, h, periodic, wy, nu), h, periodic)
+        w_new *= -step
+        w_new += wy
+        return w_new
+
+    return _fista(farr, h, periodic, w, nu, max_iters, gap_rel, tv_ref,
+                  check_every, step_from)
 
 
 def rectangle_face_count(mask: np.ndarray) -> int:

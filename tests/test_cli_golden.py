@@ -4,9 +4,11 @@ entries.  The pins were taken before the method table replaced the
 per-method branches of cmd_solve (those of the variational cases hier-p2,
 minimize-p2 and twostep re-taken when the root search changed its
 iteration path, and those of all five variational cases when the solver's
-2-D magnitude changed its rounding, and the hier-p2 trace.csv when its lam
-column stopped being written as a numpy scalar repr); a refactor of the
-CLI must leave them unchanged."""
+2-D magnitude changed its rounding, the hier-p2 trace.csv when its lam
+column stopped being written as a numpy scalar repr, and those of all five
+variational cases again when the FISTA loop folded the grid spacing and the
+step into its stencils); a refactor of the CLI must leave them
+unchanged."""
 
 import hashlib
 import json
@@ -90,17 +92,17 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                          'ok': True,
                                          'vector_sup_norm': 0.22093210866769905}},
           'hier-p1': {'code': 0,
-                      'files': {'trace.csv': 'f50c7e5139b6efa39e23fe3bf7329212db6477d6cd8b8bd99321e3afe93fb229',
-                                'u1.bdiv': '47c4c44dd1275158e53203dafabcbbf385412923851778e471217e0f8a2d45a9',
-                                'u2.bdiv': 'f969df6bbb3960f8070ad1d55a45c70019e10697daf385a90bff1b3ef4b84893'},
+                      'files': {'trace.csv': 'a56f9affb12a10e0934ab2f242eff0cd819082bca9b75aaa7057e6d283eb8a58',
+                                'u1.bdiv': 'c7be0e5cb6163696d72b8458bebacc364e3baeb847d16780e8339522158387cf',
+                                'u2.bdiv': 'a6a5a93d7e09791111c4e8827de23ae1da83c313bac7eae18db49806e6fde9a7'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                      'verification': {'component_sup_norms': [0.1258553410978846, 0.12585534511185043],
+                      'verification': {'component_sup_norms': [0.12585534109788457, 0.1258553451118504],
                                        'ok': True,
-                                       'vector_sup_norm': 0.12585535086358174}},
+                                       'vector_sup_norm': 0.1258553508635817}},
           'hier-p2': {'code': 0,
-                      'files': {'trace.csv': 'd3e9150076ee4804af76abb9d20e0258aebd99902eb3e873ca287ea3a19bd924',
-                                'u1.bdiv': '4f46535f0177dd735505dc18a365e6ffa22f29941335c5c9bdbbb5974d8f3ed7',
-                                'u2.bdiv': '82db1b685898d2eca5376a979d9f2658ba27c05ea91b2c3bc13e27fa05840419'},
+                      'files': {'trace.csv': 'b28a27dafd3af05b6bcba68ddb2c7ee5abdb6119f1b2d41a171cecba7321cdee',
+                                'u1.bdiv': 'c0754a67b556fc32f05553d8a8e55f780b12d8e004828404191be1cc550d605f',
+                                'u2.bdiv': '6fc6a01651a4ebce307bab02f3fc6ef0e62ff60d75be23d8dae950d93b5f5819'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
                       'verification': {'component_sup_norms': [0.12538887335275012, 0.12582945094882822],
                                        'ok': True,
@@ -124,21 +126,21 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                          'ok': True,
                                          'vector_sup_norm': 1.589868641393516}},
           'minimize-p1': {'code': 0,
-                          'files': {'r.bdiv': '015d77c4555779093ba63df3276a067301e5a4432114f934244b37585c7ce5a4',
-                                    'u1.bdiv': 'e2aeb909c50b0df0b383c88c5a14eaf646a17c932775510d7507ddb875c31c65',
-                                    'u2.bdiv': '0ed34e3c2b1f47705e5ce684eb32138329e37536d0fabd6634e885b95b18c75a'},
+                          'files': {'r.bdiv': 'b43df6c7ea08780cf1ff6102f4c84102c5505ee286cd004013edac99a14550ed',
+                                    'u1.bdiv': 'eb5c1a4fe7ae33cddb6834899c36d689d6ba930fa9c5eb3121e3e4e39d141bc5',
+                                    'u2.bdiv': '400185ea3922aae85feed26deb21786bd488a09a96f41ebf4ca11cfeeb8e7fb9'},
                           'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                          'verification': {'component_sup_norms': [0.12577934120013703, 0.12728427379041748],
+                          'verification': {'component_sup_norms': [0.12577934120013673, 0.12728427379041712],
                                            'ok': True,
-                                           'vector_sup_norm': 0.12731288106633043}},
+                                           'vector_sup_norm': 0.1273128810663301}},
           'minimize-p2': {'code': 0,
-                          'files': {'r.bdiv': 'a71925a84d0a5ebaa79eebb369092623f53624c54b896f15ac05e8316b6f9c63',
-                                    'u1.bdiv': '8c938eec106aee4fa4f0d5439d0aa9ec0e3c11c39a1fe8256925b04f08974ff8',
-                                    'u2.bdiv': '84705dfdef09ca6d4ef923a542733d0574a23c9e9e20f9ebfeffc828e4801769'},
+                          'files': {'r.bdiv': '3ab3e6a1d41123859784bd8431912b4d36263adbe4c46bcbef6cfe16503da4a6',
+                                    'u1.bdiv': '60ae4b90b7c7ff0a79c11645f38b01e1c325d14c539a1e508a1f58820b96aefb',
+                                    'u2.bdiv': 'b58102955f2a898dc4cd1560775e09805ac0bd92ef26c3fe8754927828c49a50'},
                           'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                          'verification': {'component_sup_norms': [0.1192686740162949, 0.1192686740162949],
+                          'verification': {'component_sup_norms': [0.11926867401629493, 0.11926867401629493],
                                            'ok': True,
-                                           'vector_sup_norm': 0.11926867401629493}},
+                                           'vector_sup_norm': 0.11926867401629496}},
           'onestep2d': {'code': 0,
                         'files': {'certs.csv': 'abef8dc508ff467c30c6e936c720962be0e1571c2a2fe43b7baed18f549a39e3',
                                   'f1.bdiv': '02e930c859b7253f19982ac57930638c995d2830b229f2a20bb1152c16f726e3',
@@ -154,10 +156,10 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                          'ok': True,
                                          'vector_sup_norm': 0.7381158881565612}},
           'twostep': {'code': 0,
-                      'files': {'u1.bdiv': 'ca983f814de0c8fe5e22b93bed1997b5eb77375b63e11c52d169522f593f9956',
-                                'u2.bdiv': '28ed98643cbcce1e82555398554a90656ad9ffa85b5f75e35f2de56644b7907c'},
+                      'files': {'u1.bdiv': 'b74ed0ad9301f4af972fed42a5f682a9bb9324b9ee2137056f575f8b94ee55e0',
+                                'u2.bdiv': '06e760a959834d2241b0e346f29367bddb6c9fc8105c4a06829ec9c0db945385'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                      'verification': {'component_sup_norms': [0.12924084240725564, 0.12595715233947857],
+                      'verification': {'component_sup_norms': [0.12924084240725564, 0.1259571523394786],
                                        'div_residual_rel': 1.7210284579395e-16,
                                        'div_residual_sup': 4.440892098500626e-16,
                                        'ok': True,

@@ -9,6 +9,7 @@ from bdiv.fields import (
     Grid,
     ScalarField,
     VectorField,
+    _diff_calls,
     _divergence_calls,
     _gradient_calls,
     _run,
@@ -104,6 +105,24 @@ class TestDivergence:
             vals = rand_field(g, seed=5).values
             grad = gradient_array(vals, g)
             assert np.array_equal(grad[-1][..., -1], -vals[..., -1] / g.h[-1])
+
+    def test_unit_spacing_binds_the_plain_difference(self):
+        # h == 1.0 binds the subtract and the edge fix and no division,
+        # and x / 1.0 == x, so the bits are those of the divided stencil
+        vals = np.random.default_rng(6).standard_normal((5, 4))
+        out = np.empty_like(vals)
+        for forward in (False, True):
+            for periodic in (False, True):
+                calls = _diff_calls(vals, 1, 1.0, periodic, out, forward)
+                assert [c.func for c in calls][-1] is not np.divide
+                _run(calls)
+                if forward:
+                    plain = np.diff(vals, axis=1, append=vals[:, :1] if periodic else 0.0)
+                else:
+                    plain = np.diff(vals, axis=1, prepend=vals[:, -1:] if periodic else 0.0)
+                assert np.array_equal(out, plain)
+                divided = _diff_calls(vals, 1, 2.0, periodic, np.empty_like(vals), forward)
+                assert len(divided) == len(calls) + 1
 
     def test_component_grid_mismatch_rejected(self):
         a = ScalarField(Grid((4, 4), 0.0, 1.0), np.zeros((4, 4)))
@@ -308,13 +327,13 @@ def test_in_place_kernel_matches_allocating_operators(grid, layout, seed):
 
     div = nan_buffer(grid.n, layout)
     tmp = nan_buffer(grid.n, layout) if grid.d > 1 else None
-    _run(_divergence_calls(v, grid, div, tmp))
+    _run(_divergence_calls(v, grid.h, grid.periodic, div, tmp))
     assert np.array_equal(div, divergence_array(v, grid))
     expect = stencil_divergence(list(v), grid.h, grid.periodic)
     assert np.allclose(div, expect, atol=1e-14)
 
     grad = nan_buffer((grid.d,) + grid.n, layout)
-    _run(_gradient_calls(g, grid, grad))
+    _run(_gradient_calls(g, grid.h, grid.periodic, grad))
     assert np.array_equal(grad, gradient_array(g, grid))
 
 

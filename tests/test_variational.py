@@ -31,7 +31,7 @@ from bdiv.variational import (
     minimize_flambda,
     two_step,
 )
-from oracles import fista_reference, fista_tv_and_gap
+from oracles import fista_reference, fista_reference_unfolded, fista_tv_and_gap
 
 
 def torus_field(n=16, seed=0):
@@ -275,9 +275,10 @@ def test_root_search_runs_tight_solves_only_near_the_root():
 # (n, lo, hi, periodic); the data are seeded standard normals, mean-zero on
 # tori, with lam = 10 / (2 TV(f)) for p = 2 and 1.5 ||f||_2 / TV(f) for p = 1.
 # Re-taken when the root search stopped running tight solves far from the
-# root, and the 2-D pins again when the 2-D magnitude changed its rounding
-# (same iterations); a change that keeps the iteration path must leave them
-# unchanged.
+# root, the 2-D pins again when the 2-D magnitude changed its rounding, and
+# all of them when the FISTA loop folded the spacing and the step into its
+# stencils (same iterations both times); a change that keeps the iteration
+# path must leave them unchanged.
 PIN_GRIDS = {
     "torus1d": ((40,), -1.0, 1.0, True),
     "box2d": ((12, 12), -1.0, 1.0, False),
@@ -288,53 +289,53 @@ PIN_GRIDS = {
 
 SOLVER_PINS = {
     ("torus1d", 2): (
-        "9fa2daf7afbe4924eeff86e81a32002e7da1f5b0fd9aacca35fe32dce83687ec",
-        "0c55d730eb503b291fb4c3493d447646f815d2f70460ff313c1bd731f4406411",
+        "e7f729023bea531653ab0b8ec69a3a6aafcabebc73818faff7b5176a0e5eecf7",
+        "c7da2bfdf6b055d13cc2422c3a9e68c24d73486fff8efd62e4f3f8c244808f1f",
         1000,
     ),
     ("torus1d", 1): (
-        "4e3df52b1aded8478fd96f1cd4ea92693bb4d9d9fd312906e6993fddb3684a18",
-        "62dffbc701aac25ee024c32e5a721667c90dbc1107615c73a0a117baf55d224d",
+        "7f11b406b175517a3841cd6ef80e49924a54953b12a5d1ebad2971430d5e4192",
+        "46c33b02c45737b8c80fac872d92b81f9f97323173190579ffe35d6bdf543433",
         1100,
     ),
     ("box2d", 2): (
-        "0e1d3e3c1b4c3dc130de34bfa4b5b64a0f25bc6ccca49128332388af66f37edf",
-        "086fe8e1da38054a8bc973d3eab1655caa5f1a8a9b18e292b417626161ad44b6",
+        "4656e7eb9387e719a9fccdc7b0e2d184967bd9f6295ba43ffb698892d6d4f53e",
+        "fc95641718700de204627eb679c3372384b76a304c8fcf7aaaf9ca8cb7068ea0",
         2050,
     ),
     ("box2d", 1): (
-        "3f697107fc719c8a4691427e3b20574e2f7f6c2f58aa1ee66b629bf02a844a97",
-        "406f22cb84762299087b61ba62a9d92d0dbff1374dacd6ab61657861798aa71b",
+        "43df4097cf020effe4a7fba4e04d988f45c3a3436d496af42710aec6b55b6b1e",
+        "b38004f80d7cd3cdcf740a3115d5cc7d615fed79818b7ce9f0b5df3bce5dd8ca",
         1650,
     ),
     ("aniso2d", 2): (
-        "5c74099e9633912cb61b4396dc209439f9be84b7f0e87a1f944dbc201a747d77",
-        "259666540b922bd6797f5665b7a9f5ad019d65b269677385c1818562b3f8a0f1",
+        "ef2574f3ac8e69c83692d56aec438ae0c39c621f27960caaa3d6b393deacebba",
+        "0ef8cab0dbea9461c97bb87a81ff1ccbae08321d8fd9f1328d26a2d1dc985bbd",
         3550,
     ),
     ("aniso2d", 1): (
-        "e2dadddfb6ebedb5ccaed5f592072eae8eef54d5d11306642fba84a27d797406",
-        "903187bb2e8f380f50554498ed5e547ac39fb579ae9c17202baee359b25dd9c8",
+        "65a717252aa75604f1b2e0246896277232221fc030124141ad1b2b2697ff0ae7",
+        "054ed027c2459df8cdd22e70d0c0b983c2121ccb7780ab0f90d919dc319e1711",
         7500,
     ),
     ("torus3d", 2): (
-        "79e3a703c4441c6b848b5591d02f4d17c651a82f49caa6a9d06b74fff2f6788e",
-        "521c493a8fa3312f962afbb82909e94ceef330357b030518fa94cc18ea8ebc44",
+        "ae4fef52c0eebd4f1fc54a0bd0db2101e0d447153a6107b58eb3f6054873a3d9",
+        "77d94c5939506ae2fef66c973b65bc0acb8aaf9dce2ac1cdc9b20db8caef97a1",
         1250,
     ),
     ("torus3d", 1): (
-        "a99c1519150f391edc4ab5f3e9118805fdffaad25280c0e62efdaeb678b9ce06",
-        "7710279a109a670ecbc9a98690c4fd6b71f695c9f78c3e0b102dde579d5af033",
+        "a81f70dabb10b4051950fd2bc43afa9e87f9a0a0ec279cdd84379d3bdf063749",
+        "7acc33bf035d3cb22bc390b252fc937710522dd119066594c1cc833264859dce",
         1350,
     ),
     ("box3d", 2): (
-        "f28ccce0a5453e48ad97ae1c3c711289baa387f1519a3fd22dc921f795ce3470",
-        "e11862bac0dec2dcea3bae6e06f2a2adc6953104327d1be16b190c7af2e291a6",
+        "b69a43cf900a2fc5f3947ccd95363336b159591d242004e37f3df3ccd3488323",
+        "0d357a712a0db38adc0bbd79dd22f33da8db093c2a0fbf88482d77f355387873",
         4450,
     ),
     ("box3d", 1): (
-        "8d93d24f800dcfb11c5238c8cf747943d64b7d704fe09f7ec1f58844ed83bf16",
-        "f6312643410e19203205cd8eb16e0ad02b9a76e4a980430c2a6d83e76b5de0e4",
+        "0672ce33f506a5c881670f7ecacdfd27e8a5cbc53cd1b89343247c3fab727da8",
+        "e5bc94c3e8e5968c0bb59b4cb14521132008589e3b2b2bd8f7dcb2e8da395fed",
         1650,
     ),
 }
@@ -437,6 +438,31 @@ def test_bound_buffers_match_reference_loop(name):
             farr, grid.h, grid.periodic, w, nu)
         early += got[2] and got[1] < iters
     assert early == 2
+
+
+@pytest.mark.parametrize("name", BUFFER_GRIDS)
+def test_folded_iterate_matches_unfolded_loop(name):
+    """The unit-spacing iteration, with the spacing and the step folded into
+    its constants, follows the loop that divides by h and scales the
+    gradient by the step, up to rounding: after each of three warm-started
+    solves (60 iterations in all, the gap checked at the end of each) the
+    dual field is within 1e-10 of it, TV(r) within 1e-10 relative, and the
+    iterations, gap verdicts and relative gaps agree."""
+    n, lo, hi, periodic = BUFFER_GRIDS[name]
+    grid = Grid(n, lo, hi, periodic=periodic)
+    rng = np.random.default_rng(100 + list(BUFFER_GRIDS).index(name))
+    f = ScalarField(grid, rng.standard_normal(n))
+    farr = f.values / lp_norm(f, 2)
+    state = _DualState(farr, grid)
+    w = np.zeros((grid.d,) + grid.n)
+    for nu, iters in ((0.02, 25), (0.05, 30), (0.03, 5)):
+        tv, ran, met, gap = state.solve(nu, iters, 0.0, 1.0)
+        want_tv, *want, w = fista_reference_unfolded(
+            farr, grid.h, grid.periodic, w, nu, iters, 0.0, 1.0, CHECK_EVERY)
+        assert (ran, met) == tuple(want[:2])
+        assert abs(gap - want[2]) <= 1e-10
+        assert tv == pytest.approx(want_tv, rel=1e-10)
+        assert np.abs(state.w - w).max() <= 1e-10 * np.abs(w).max()
 
 
 _BLAS_THREADS_SOLVE = """

@@ -57,9 +57,9 @@ CHEAP_GAP = 1e-4
 
 # least cell count of the 2^d-cell-averaged grid for the coarse start of
 # minimize_flambda.  Below it a FISTA iteration is mostly per-call overhead:
-# one costs 132 ns per cell at 16^2 (34 us), 48.9 at 32^2 (50 us) and 26.8
-# at 64^2 (110 us) (BENCH_10.json, one core).  A 32^2 iteration costs 0.45
-# of a 64^2 one, but a 16^2 iteration 0.68 of a 32^2 one, too much for the
+# one costs 79.9 ns per cell at 16^2 (20 us), 34.4 at 32^2 (35 us) and 19.0
+# at 64^2 (78 us) (BENCH_13.json, one core).  A 32^2 iteration costs 0.45
+# of a 64^2 one, but a 16^2 iteration 0.58 of a 32^2 one, too much for the
 # probes a coarse search adds.  End to end the floor hardly matters: on the
 # 64^2 Nirenberg field (scripts/ledger.py probes) a floor of 256, which adds
 # a 16^2 level, takes 46.0 M cell-iterations at p = 2 against 46.5 M, and

@@ -13,16 +13,17 @@ that one too, labelled "parent") it records:
 - per workload, one --trace 1 run: the per-layer count metrics (exact, so
   one run suffices);
 - a whole-run row: wall time, inner iterations and cell-iterations of
-  one two_step call (the `bench table1` solver settings) on the Nirenberg
+  one two_step call (the `bench table1` solver settings,
+  bdiv.TABLE1_SETTINGS of this checkout, passed to both) on the Nirenberg
   field at N = 50, 100 and 200, N = 200 in the first TWOSTEP_RUNS rounds
   only;
 - two layer rows: ns per cell per iteration of one projected-FISTA solve
   (_DualState.solve) at fixed nu on the Nirenberg field at 16^2 (the size
   of hierarchy-small), 32^2, 64^2, 128^2 and 256^2, the duality-gap check
   every CHECK_EVERY iterations included; and ms per norms.morrey_norm call on the seed-1 spikes field
-  at 32^2, 48^2, 64^2, 128^2 and 256^2, the two largest sizes in the first
-  MORREY_RUNS rounds only (the argsort-per-centre body took minutes at
-  256^2).
+  at 32^2, 48^2, 64^2, 128^2 and 256^2, 256^2 in the first MORREY_RUNS
+  round only (the argsort-per-centre body took minutes there; 128^2 runs
+  in every round, since three runs could not resolve a change).
 
 With --parent every round runs both checkouts, alternating which goes
 first, so the two columns are paired.  Every child process is
@@ -47,6 +48,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from bdiv import TABLE1_SETTINGS  # noqa: E402
+
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 RUNS = 10  # paired runs per workload
@@ -55,7 +59,7 @@ FISTA_NU = 0.06  # near the root of the Table-1 two-step first solve
 FISTA_ITERS = 200
 FISTA_REPEATS = 3  # timed solves per size and run
 MORREY_SIZES = (32, 48, 64, 128, 256)
-MORREY_RUNS = {128: 3, 256: 1}  # rounds that time these sizes; others: RUNS
+MORREY_RUNS = {256: 1}  # rounds that time these sizes; others: RUNS
 TWOSTEP_SIZES = (50, 100, 200)
 TWOSTEP_RUNS = {200: 3}  # rounds that time these sizes; others: RUNS
 
@@ -104,14 +108,14 @@ print(json.dumps(out))
 
 # one timed two_step call per size, at the `bench table1` settings; iterations
 # are those on the caller's grid, cell-iterations those of every grid level
-# (a report without cell_iterations ran on one grid); argv: sizes
+# (a report without cell_iterations ran on one grid); argv: sizes, the
+# settings as JSON
 TWOSTEP_ROW = """
 import json, sys, time
 from bdiv.examples import nirenberg_field
 from bdiv.variational import VariationalConfig, two_step
 
-cfg = VariationalConfig(lam=1.0, tol_objective=1e-6, tol_residual=0.02,
-                        inner_iters=4000)
+cfg = VariationalConfig(lam=1.0, **json.loads(sys.argv[2]))
 out = {}
 for n in map(int, sys.argv[1].split(",")):
     f = nirenberg_field(n)
@@ -168,7 +172,7 @@ def morrey_layer(tree: Path, seed: int) -> dict:
 
 def twostep_row(tree: Path, seed: int) -> dict:
     sizes = [n for n in TWOSTEP_SIZES if seed <= TWOSTEP_RUNS.get(n, RUNS)]
-    return layer(tree, TWOSTEP_ROW, ",".join(map(str, sizes)))
+    return layer(tree, TWOSTEP_ROW, ",".join(map(str, sizes)), json.dumps(TABLE1_SETTINGS))
 
 
 def twostep_summary(runs: list[dict]) -> dict:
@@ -300,6 +304,7 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
             "fista_repeats_per_run": FISTA_REPEATS,
             "morrey_runs": {str(n): MORREY_RUNS.get(n, RUNS) for n in MORREY_SIZES},
             "twostep_runs": {str(n): TWOSTEP_RUNS.get(n, RUNS) for n in TWOSTEP_SIZES},
+            "twostep_settings": TABLE1_SETTINGS,
         },
         "columns": columns,
     }

@@ -38,6 +38,7 @@ from .explicit import (  # noqa: F401
     split_onestep_2d,
 )
 from .variational import (  # noqa: F401
+    TABLE1_SETTINGS,
     HierarchyConfig,
     HierarchyTrace,
     SolverReport,

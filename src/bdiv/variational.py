@@ -9,9 +9,12 @@ FISTA with adaptive restart), and nu is pinned by the residual certificate
 - TV(r) = 1/(2 lambda) for p = 2, TV(r) = ||r||_2 / lambda for p = 1 -
 through a bracketed one-dimensional root search with warm starts.  Each
 probe of the search solves to a cheap duality gap first, which fixes the
-sign of the certificate defect wherever it lies outside twice the band,
-and continues to the tight gap only inside it, so every in-band verdict
-rests on a tight solve.  Hitting the certificate is then part of the
+sign of the certificate defect wherever it lies outside twice the band.
+Weak duality bounds the objective from below at the cost of two dot
+products of the probe's residual (dual_bound), and the search stops at the
+first probe inside the band whose objective that bound certifies to
+CHEAP_GAP; a probe near the root that the cheap solve did not certify
+continues to the tight gap.  Hitting the certificate is then part of the
 construction rather than a limit property.  The objective is
 1-homogeneous under (u, f, lambda) -> (cu, cf, lambda c^{p-1}), so the
 iteration runs on unit-L2-normalized data and rescales the outputs,
@@ -52,8 +55,13 @@ SATURATION_TOL = 1e-3
 # FISTA iterations between duality-gap checks of an inner solve
 CHECK_EVERY = 50
 
-# relative duality gap of the cheap solve that opens every probe
+# relative duality gap of the cheap solve that opens every probe, and the
+# relative gap (objective - dual_bound) / objective that settles the search
 CHEAP_GAP = 1e-4
+
+# the solver settings of `bdiv bench table1`: the reported ratio is stable to
+# ~1e-4 well before the certificate-grade default tolerances
+TABLE1_SETTINGS = dict(tol_objective=1e-6, tol_residual=0.02, inner_iters=4000)
 
 # least cell count of the 2^d-cell-averaged grid for the coarse start of
 # minimize_flambda.  Below it a FISTA iteration is mostly per-call overhead:
@@ -103,7 +111,10 @@ class Probe:
     cell count of the grid it ran on; defect is the certificate defect,
     positive while nu is below the root, and scale its natural size;
     saturated flags a vanished p = 1 residual; objective is that of the
-    iterate on the data of its grid.
+    iterate on the data of its grid, and bound the weak-duality lower bound
+    on its minimum from the iterate's residual (dual_bound; -inf for a
+    saturated residual).  The record is certified when (objective - bound)
+    / objective <= CHEAP_GAP.
     """
 
     nu: float
@@ -116,16 +127,29 @@ class Probe:
     scale: float
     saturated: bool
     objective: float
+    bound: float
+
+    @property
+    def certified(self) -> bool:
+        return self.objective - self.bound <= CHEAP_GAP * self.objective
 
 
 @dataclass
 class SolverReport:
     """Outcome of one minimization: certificates and convergence record.
 
-    converged means the returned residual lies in the certificate band (or,
-    for p = 1, is saturated); gap_met means the inner solve behind the
-    returned u reached the duality-gap tolerance tol_objective rather than
-    stopping at its iteration cap or only at the cheap gap.  probes holds
+    lower_bound is the weak-duality lower bound on the minimum computed
+    from the returned r (dual_bound; -inf for a saturated p = 1 residual),
+    so objective - lower_bound bounds how far the result is from optimal.
+    converged means the search settled inside the certificate band: at
+    p = 2 on a certified record, and the returned (u, r) are certified,
+    (objective - lower_bound) / objective <= CHEAP_GAP; at p = 1, whose
+    bound is first order in the certificate defect, on a certified record,
+    on a tight solve that ended at or below CHEAP_GAP, or at a saturated
+    residual.  gap_met means the inner solve behind the returned u reached
+    the duality-gap tolerance tol_objective rather than stopping at its
+    iteration cap or only at the cheap gap; a search that stops on a
+    certified cheap solve leaves it false.  probes holds
     one record per inner solve of the root search on the caller's grid, in
     the order they ran, and coarse those of the coarse levels (coarsest
     first).  iterations counts the inner iterations on the caller's grid,
@@ -140,6 +164,7 @@ class SolverReport:
     phi_tv: float
     converged: bool
     gap_met: bool
+    lower_bound: float = -math.inf
     trivial: bool = False
     cell_iterations: int = 0
     probes: list[Probe] = field(default_factory=list)
@@ -200,6 +225,40 @@ def _phi_p_tv(r: ScalarField, p: int) -> float:
     if rnorm == 0.0:
         return 0.0
     return p * rnorm ** (p - 2) * tv_norm(r, "isotropic")
+
+
+def dual_bound(f: ScalarField, r: ScalarField, lam: float, p: int) -> float:
+    """Weak-duality lower bound on min_u ||u||_inf + lam ||f - div u||_2^p
+    from a residual r, by _dual_bound; -inf for a p = 1 residual saturated
+    in the sense of minimize_flambda (||r||_2 <= SATURATION_TOL ||f||_2)."""
+    if p == 1 and lp_norm(r, 2) <= SATURATION_TOL * lp_norm(f, 2):
+        return -math.inf
+    return _dual_bound(f.values, r.values, tv_norm(r, "isotropic"),
+                       f.grid.cell_volume, lam, p)
+
+
+def _dual_bound(f: np.ndarray, r: np.ndarray, tv: float, vol: float, lam: float,
+                p: int) -> float:
+    """The bound of dual_bound from the arrays of f and r and TV(r).
+
+    div and -grad are adjoint on boxes and tori, so for any phi with
+    TV(phi) <= 1, <f, phi> = <u, -grad phi> + <r, phi> <= ||u||_inf + <r,
+    phi>.  With a = <f, r> and rho = ||r||_2^2 (cell-volume inner product):
+    p = 2 takes phi = s r / TV(r) and the best s in [0, 1], s = 2 lam TV(r)
+    a / rho, and <r, phi> <= lam ||r||^2 + ||phi||^2 / (4 lam) gives
+    s a / TV(r) - s^2 rho / (4 lam TV(r)^2), tight at the optimum; p = 1
+    takes phi = c r with TV(phi) <= 1 and ||phi||_2 <= lam, which gives
+    min(1 / TV(r), lam / sqrt(rho)) a, first order in the certificate
+    defect TV(r) - ||r||_2 / lam.  -inf for r = 0 or TV(r) = 0.
+    """
+    a = float(np.sum(f * r)) * vol
+    rho = float(np.sum(r * r)) * vol
+    if tv <= 0.0 or rho <= 0.0:
+        return -math.inf
+    if p == 2:
+        s = min(max(2.0 * lam * tv * a / rho, 0.0), 1.0)
+        return s * a / tv - s * s * rho / (4.0 * lam * tv * tv)
+    return min(1.0 / tv, lam / math.sqrt(rho)) * a
 
 
 # -- inner dual solve ----------------------------------------------------------
@@ -375,23 +434,32 @@ def minimize_flambda(
     the returned objective never exceeds the zero-field objective
     lam ||f||^p; on convergence the residual certificate |phi_p(r*)|_TV <=
     (1 + tol_residual)/lam holds, or, for p = 1 in the exact-penalty regime,
-    the residual vanishes instead: ||r*||_2 <= SATURATION_TOL ||f||_2; below
+    the residual vanishes instead: ||r*||_2 <= SATURATION_TOL ||f||_2; the
+    weak-duality bound report.lower_bound never exceeds the objective, and
+    at p = 2 on convergence lies within CHEAP_GAP of it, relative; below
     the trivial threshold lam |phi_p(f)|_TV <= 1 the zero field is optimal
-    and returned exactly.
+    and returned exactly (its bound equals its objective).
 
     The search over nu brackets the root, then narrows it by Illinois false
     position.  Each probe runs a cheap inner solve (relative gap 1e-4) and
-    goes on to the gap tol_objective only when the cheap certificate defect
-    lies within twice the band 0.5 tol_residual of zero; the search stops at
-    the first probe inside the band, so that verdict always rests on a
-    tight solve that ended at or below the cheap gap; a budget that cuts
-    the tight solve off before it starts, or ends it above that gap, leaves
-    the search unconverged.  Every inner solve appends one
-    Probe to report.probes, and the search reads its state from them: the
+    records the weak-duality lower bound of its iterate (dual_bound, two
+    dot products past the TV its last gap check computed); the record is
+    certified when (objective - bound) / objective <= CHEAP_GAP.  The
+    search stops at the first probe inside the band 0.5 tol_residual that
+    is certified.  Only a cheap probe whose defect lies within twice the
+    band and which is not certified goes on to the gap tol_objective; at
+    p = 1, whose bound is first order in the defect, a tight solve inside
+    the band that ended at or below CHEAP_GAP settles the search too.  A
+    budget that runs out before a probe inside the band is certified (or,
+    at p = 1, before its tight solve ends at or below that gap) leaves the
+    search unconverged.  Every inner solve appends one Probe to
+    report.probes, and the search reads its state from them: the
     duality-gap floor of each solve, saturation, and the returned u, that
-    of the feasible record of least objective the search found.
-    report.gap_met says whether the solve behind u reached tol_objective
-    or stopped at the inner_iters cap.
+    of the feasible record of least objective the search found, unless that
+    record is uncertified and a certified one settles the search.
+    report.lower_bound is the bound of the returned r, and report.gap_met
+    says whether the solve behind u reached tol_objective, which a search
+    that stops on a certified cheap probe does not ask for.
 
     Coarse start.  When every axis has an even length and the 2^d-cell
     average of f has at least COARSE_MIN_CELLS cells, the search first runs
@@ -427,6 +495,7 @@ def minimize_flambda(
             phi_tv=phi_tv_f,
             converged=True,
             gap_met=True,
+            lower_bound=dual_bound(f, f, lam, p),
             trivial=True,
         )
         return VectorField.zeros(grid), f.copy(), report
@@ -443,6 +512,9 @@ def minimize_flambda(
         r_field = f.copy()
         obj = lam * fnorm**p
         converged = False
+    lower = dual_bound(f, r_field, lam, p)
+    # at p = 2 the returned (u, r) themselves carry the certificate
+    converged = converged and (p == 1 or obj - lower <= CHEAP_GAP * obj)
     report = SolverReport(
         iterations=sum(q.iterations for q in level.probes),
         objective=obj,
@@ -451,6 +523,7 @@ def minimize_flambda(
         phi_tv=_phi_p_tv(r_field, p),
         converged=converged,
         gap_met=rec.gap_met and rec.gap <= cfg.tol_objective,
+        lower_bound=lower,
         cell_iterations=sum(q.iterations * q.cells for q in level.coarse + level.probes),
         probes=level.probes,
         coarse=level.coarse,
@@ -514,22 +587,26 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
         objective = _report_objective(
             (nu * fnorm) * state.w, ScalarField(grid, fnorm * r), lam, p
         )
+        # the bound scales with the objective: fnorm times that of farr, r
+        bound = -math.inf if saturated else fnorm * _dual_bound(
+            farr, r, tv, grid.cell_volume, lam_eff, p)
         rec = Probe(nu=nu, gap=gap, gap_met=met, gap_reached=reached,
                     iterations=iters, cells=cells,
                     defect=-scale if saturated else tv - t, scale=scale,
-                    saturated=saturated, objective=objective)
+                    saturated=saturated, objective=objective, bound=bound)
         probes.append(rec)
         return rec
 
     def probe(nu: float) -> Probe:
         """Solve at nu; return the last record.  A cheap solve (gap 1e-4,
         TV(r) to a few 1e-4 relative) settles the sign of the defect
-        wherever it lies outside twice the certificate band; only inside it
-        does the solve continue to cfg.tol_objective, and only on the
-        caller's grid.  No solve runs past the budget."""
+        wherever it lies outside twice the certificate band; only inside it,
+        where the cheap record is not certified, does the solve continue to
+        cfg.tol_objective, and only on the caller's grid.  No solve runs
+        past the budget."""
         rec = solve(nu, CHEAP_GAP)
         if (not certify or abs(rec.defect) > 2.0 * band * rec.scale
-                or rec.saturated or budget() <= 0):
+                or rec.saturated or rec.certified or budget() <= 0):
             return rec
         return solve(nu, cfg.tol_objective)
 
@@ -538,16 +615,22 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
     def consider(rec: Probe) -> bool:
         """Keep rec as best if it is feasible with a lower objective;
         return whether it settles the search: inside the band and, on the
-        caller's grid, from a solve to cfg.tol_objective that ended at a gap
-        no worse than CHEAP_GAP (probe returns a cheap record inside the
-        band once the budget is spent, and a tight solve the budget cuts
-        off can end above the gap of the cheap solve it continued)."""
+        caller's grid, certified.  The p = 1 bound is first order in the
+        defect, so at p = 1 a record inside the band also settles when it
+        comes from a solve to cfg.tol_objective that ended at a gap no worse
+        than CHEAP_GAP (a tight solve the budget cuts off can end above the
+        gap of the cheap solve it continued).  A certified record that
+        settles the search replaces an uncertified best, so the returned u
+        carries its own certificate."""
         nonlocal best
         in_band = abs(rec.defect) <= band * rec.scale and not rec.saturated
         if (rec.defect <= 0 or in_band) and (best is None or rec.objective < best[0].objective):
             best = (rec, state.w.copy())
-        tight = rec.gap == cfg.tol_objective and rec.gap_reached <= CHEAP_GAP
-        return in_band and (not certify or tight)
+        tight = p == 1 and rec.gap == cfg.tol_objective and rec.gap_reached <= CHEAP_GAP
+        settled = in_band and (not certify or rec.certified or tight)
+        if settled and rec.certified and not best[0].certified:
+            best = (rec, state.w.copy())
+        return settled
 
     # defect at nu = 0 is free: r = f
     d_zero = tv_norm(ScalarField(grid, farr), "isotropic") - target

@@ -140,6 +140,40 @@ def fista_tv_and_gap(farr, h, periodic, w, nu):
     return tv, nu * (tv + float((g * w).sum()) * vol)
 
 
+def weak_duality_bound(farr, rarr, h, periodic, lam, p):
+    """Lower bound on min_u ||u||_inf + lam ||f - div u||_2^p from the dual
+    point phi built on the residual r, evaluated on phi itself.
+
+    Any phi with TV(phi) <= 1 gives <f, phi> - ||phi||^2 / (4 lam) at p = 2,
+    and <f, phi> at p = 1 if also ||phi||_2 <= lam.  p = 2 takes phi = s r /
+    TV(r) with s = 2 lam TV(r) <f, r> / ||r||^2 clipped to [0, 1]; p = 1
+    takes phi = c r with c = min(1 / TV(r), lam / ||r||_2).  -inf for r = 0
+    or TV(r) = 0.  Asserts that phi is dual feasible."""
+    vol = 1.0
+    for ha in h:
+        vol *= ha
+
+    def tv(g):
+        return float(_ref_magnitude(_ref_gradient(g, h, periodic)).sum()) * vol
+
+    def dot(a, b):
+        return float((a * b).sum()) * vol
+
+    t, rr = tv(rarr), dot(rarr, rarr)
+    if t == 0.0 or rr == 0.0:
+        return -math.inf
+    if p == 2:
+        s = min(max(2.0 * lam * t * dot(farr, rarr) / rr, 0.0), 1.0)
+        phi = (s / t) * rarr
+    else:
+        phi = min(1.0 / t, lam / math.sqrt(rr)) * rarr
+    assert tv(phi) <= 1.0 + 1e-12
+    if p == 2:
+        return dot(farr, phi) - dot(phi, phi) / (4.0 * lam)
+    assert math.sqrt(dot(phi, phi)) <= lam * (1.0 + 1e-12)
+    return dot(farr, phi)
+
+
 def _fista(farr, h, periodic, w, nu, max_iters, gap_rel, tv_ref, check_every,
            step_from):
     """Projected FISTA with adaptive restart on min_{|w|<=1} 0.5 ||f - nu

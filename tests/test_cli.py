@@ -378,6 +378,33 @@ def test_solve_minimize_reports_bound_and_certificate(tmp_path, capsys):
         assert verification["objective"] <= verification["trivial_bound"]
         assert verification["phi_tv"] >= 0.0
         assert verification["certificate_bound"] == pytest.approx(1.01 / 3.0)
+        if p == "2":  # converged: the weak-duality bound certifies the objective
+            assert verification["lower_bound"] <= verification["objective"]
+            assert 0.0 <= verification["rel_gap"] <= variational.CHEAP_GAP
+        else:  # saturated at lambda 3: no bound
+            assert verification["lower_bound"] is None
+            assert verification["rel_gap"] is None
+
+
+def test_solve_minimize_tampered_u_breaks_weak_duality(
+    tmp_path, capsys, monkeypatch
+):
+    """Weak duality holds for every u with r = f - div u, so only a u that
+    does not produce the written r can sit below the bound: half the
+    returned u lowers sup|u|, and the objective falls under the lower
+    bound recomputed from f and r."""
+    solve = variational.minimize_flambda
+
+    def tampered(f, cfg):
+        u, r, rep = solve(f, cfg)
+        return fields.VectorField.from_arrays(u.grid, list(0.5 * u.as_array())), r, rep
+
+    monkeypatch.setattr(variational, "minimize_flambda", tampered)
+    code, verification = _minimize_report(tmp_path)
+    assert code == cli.EXIT_INVARIANT
+    assert not verification["ok"]
+    assert verification["lower_bound"] > verification["objective"]
+    assert verification["rel_gap"] < 0.0
 
 
 def test_solve_minimize_tampered_u_breaks_trivial_bound(
@@ -416,6 +443,7 @@ def test_solve_minimize_false_convergence_breaks_certificate(
     assert verification["residual_claim_miss"] == 0.0
     assert verification["objective"] <= verification["trivial_bound"]
     assert verification["phi_tv"] > verification["certificate_bound"]
+    assert verification["rel_gap"] > variational.CHEAP_GAP
 
 
 def test_solve_reports_gap_met_next_to_converged(tmp_path, capsys):

@@ -7,8 +7,9 @@ iteration path, and those of all five variational cases when the solver's
 2-D magnitude changed its rounding, the hier-p2 trace.csv when its lam
 column stopped being written as a numpy scalar repr, and those of all five
 variational cases again when the FISTA loop folded the grid spacing and the
-step into its stencils); a refactor of the CLI must leave them
-unchanged."""
+step into its stencils, and those of hier-p2, minimize-p2 and twostep when
+the root search began to stop on a cheap probe that the weak-duality bound
+certifies); a refactor of the CLI must leave them unchanged."""
 
 import hashlib
 import json
@@ -100,13 +101,13 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                        'ok': True,
                                        'vector_sup_norm': 0.1258553508635817}},
           'hier-p2': {'code': 0,
-                      'files': {'trace.csv': 'b28a27dafd3af05b6bcba68ddb2c7ee5abdb6119f1b2d41a171cecba7321cdee',
-                                'u1.bdiv': 'c0754a67b556fc32f05553d8a8e55f780b12d8e004828404191be1cc550d605f',
-                                'u2.bdiv': '6fc6a01651a4ebce307bab02f3fc6ef0e62ff60d75be23d8dae950d93b5f5819'},
+                      'files': {'trace.csv': '8e587a926befbe9406b135261cfd532990cbe1d136b606a61b69337916318e7e',
+                                'u1.bdiv': '5035f63ca03c0c3ef26455d187d3570e108928da78c6a323db6e7f14c8453108',
+                                'u2.bdiv': '234425f900ccd5ee65ebc84b1abf149619f06688094e8ab4adf8cfcefb4eb34c'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                      'verification': {'component_sup_norms': [0.12538887335275012, 0.12582945094882822],
+                      'verification': {'component_sup_norms': [0.12538976688734732, 0.1258293635000414],
                                        'ok': True,
-                                       'vector_sup_norm': 0.12612422384266184}},
+                                       'vector_sup_norm': 0.1261237881954711}},
           'inductive': {'code': 0,
                         'files': {'certs.csv': 'a8b608cc4cb3962f92fc1f091b94ce518381c0af4c1a6dfd210a5287fb7577f1',
                                   'f1.bdiv': '37f616af56fd5f0189cc63cc8eeb0fa73f6c465bad9b9e8b88c06e4ccd82c372',
@@ -134,11 +135,11 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                            'ok': True,
                                            'vector_sup_norm': 0.1273128810663301}},
           'minimize-p2': {'code': 0,
-                          'files': {'r.bdiv': '3ab3e6a1d41123859784bd8431912b4d36263adbe4c46bcbef6cfe16503da4a6',
-                                    'u1.bdiv': '60ae4b90b7c7ff0a79c11645f38b01e1c325d14c539a1e508a1f58820b96aefb',
-                                    'u2.bdiv': 'b58102955f2a898dc4cd1560775e09805ac0bd92ef26c3fe8754927828c49a50'},
+                          'files': {'r.bdiv': '4450fbdf1710b89b22d9cd8dfdd2fe878d187d570181830eab841e82365d02b0',
+                                    'u1.bdiv': '067d118fd09f8f636a1e77e60c4aa048a5435afdc82fb35296357ab28223cb5c',
+                                    'u2.bdiv': '88becc13bb8eb32921f542f665928065aa87466499bc4e34c6a3aecd1dbc2e54'},
                           'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                          'verification': {'component_sup_norms': [0.11926867401629493, 0.11926867401629493],
+                          'verification': {'component_sup_norms': [0.11926867400832622, 0.11926867397621341],
                                            'ok': True,
                                            'vector_sup_norm': 0.11926867401629496}},
           'onestep2d': {'code': 0,
@@ -156,14 +157,14 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                          'ok': True,
                                          'vector_sup_norm': 0.7381158881565612}},
           'twostep': {'code': 0,
-                      'files': {'u1.bdiv': 'b74ed0ad9301f4af972fed42a5f682a9bb9324b9ee2137056f575f8b94ee55e0',
-                                'u2.bdiv': '06e760a959834d2241b0e346f29367bddb6c9fc8105c4a06829ec9c0db945385'},
+                      'files': {'u1.bdiv': 'e595f9d4a372c0e45b2f56d691add3369265bdd469089d1635177e0930f4019c',
+                                'u2.bdiv': '7dd87c15bf2b8b5273ec62a516c331e88040c212f11a87228867c271a6946686'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                      'verification': {'component_sup_norms': [0.12924084240725564, 0.1259571523394786],
+                      'verification': {'component_sup_norms': [0.1292429615629093, 0.12595551486203044],
                                        'div_residual_rel': 1.7210284579395e-16,
                                        'div_residual_sup': 4.440892098500626e-16,
                                        'ok': True,
-                                       'vector_sup_norm': 0.12925867405907276}},
+                                       'vector_sup_norm': 0.12926063404752794}},
           'weakl2': {'code': 0,
                      'files': {'certs.csv': '8b987cd0c0b7dca47556244e095b861e83711f703498eefbd1bddee1eaafa2d3',
                                'f1.bdiv': '4240bef8c6aa89cce08d39a5eb9ce4ba519d10cef1ddb0014b20be7cb572b4ca',

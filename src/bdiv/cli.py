@@ -327,14 +327,14 @@ BENCH_GRIDS = (50, 100, 200, 400, 800)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    grids = [int(g) for g in args.grids.split(",") if g.strip()] if args.grids else []
-    bad = [g for g in grids if g not in BENCH_GRIDS]
-    if bad:
+    grids = [g.strip() for g in args.grids.split(",") if g.strip()]
+    bad = [g for g in grids if not g.isdecimal() or int(g) not in BENCH_GRIDS]
+    if bad:  # a malformed list is a usage error too, found before any row runs
         print(f"unsupported bench grids {bad}; choose from {BENCH_GRIDS}",
               file=sys.stderr)
         return EXIT_USAGE
     rows = []
-    for n in grids:
+    for n in map(int, grids):
         t0 = time.perf_counter()
         try:
             f = examples.nirenberg_field(n)
@@ -431,51 +431,33 @@ def _check_explicit(seed: int) -> list[tuple[str, bool, str]]:
     bound = norms.lp_norm(f, 2) * (1 + 1e-10)
     out.append(("onestep2d", block["ok"] and all(c <= bound for c in comp),
                 f"verification ok={block['ok']} comps={comp}"))
-    res2, trace = explicit.decompose_weak_l2(
-        examples.random_field(seed + 1, 16, law="spikes"), tau=2.0
-    )
+    f2 = examples.random_field(seed + 1, 16, law="spikes")
+    res2, trace = explicit.decompose_weak_l2(f2, tau=2.0)
     meas = trace.measures()
     shrink = all(m1 <= m0 / 4.0 + 1e-12 for m0, m1 in zip(meas, meas[1:]))
-    certs_ok = all(c.satisfied for c in res2.certificates)
-    out.append(("weakl2_strips", shrink and certs_ok and not trace.incomplete,
+    ok = _verification_block(f2, _split(res2))["ok"]
+    out.append(("weakl2_strips", shrink and ok and not trace.incomplete,
                 f"measures={meas}"))
     f3 = examples.random_field(seed + 2, (6, 6, 6), law="gaussian", d=3)
-    res3 = explicit.split_inductive_nd(f3)
-    certs_ok3 = all(c.satisfied for c in res3.certificates)
-    union = np.zeros(f3.grid.n, dtype=bool)
-    disjoint = True
-    for m in res3.masks:
-        disjoint = disjoint and not (union & m.flags).any()
-        union |= m.flags
-    covers = bool(union[f3.values != 0].all())
-    out.append(("inductive_3d", certs_ok3 and disjoint and covers, ""))
+    ok = _verification_block(f3, _split(explicit.split_inductive_nd(f3)))["ok"]
+    out.append(("inductive_3d", ok, ""))
     return out
 
 
 def _check_variational(seed: int) -> list[tuple[str, bool, str]]:
-    out = []
-    f = examples.random_field(seed, 16, law="gaussian", periodic=True)
-    f = fields.mean_zero(f)
-    u = variational.helmholtz_solve(f)
-    div = fields.discrete_divergence(u)
-    out.append(("helmholtz_roundtrip",
-                float(np.abs(div.values - f.values).max())
-                <= 1e-10 * float(np.abs(f.values).max()), ""))
+    f = fields.mean_zero(examples.random_field(seed, 16, law="gaussian", periodic=True))
+    ok = _verification_block(f, Solution(variational.helmholtz_solve(f)))["ok"]
+    out = [("helmholtz_roundtrip", ok, "")]
     tvf = norms.tv_norm(f, "isotropic")
-    lam_small = 0.25 / tvf
-    u0, r0, rep0 = variational.minimize_flambda(
-        f, variational.VariationalConfig(lam=lam_small)
-    )
+    sol = _solve_minimize(f, argparse.Namespace(lam=0.25 / tvf, p=2))
+    ok = _verification_block(f, sol)["ok"] and sol.report["solver"]["trivial"]
     out.append(("trivial_below_threshold",
-                rep0.trivial and float(np.abs(u0.as_array()).max()) == 0.0, ""))
+                ok and float(np.abs(sol.u.as_array()).max()) == 0.0, ""))
     lam = 20.0 / (2.0 * tvf)
-    u1, r1, rep1 = variational.minimize_flambda(
-        f, variational.VariationalConfig(lam=lam)
-    )
-    cert = norms.tv_norm(r1, "isotropic") * 2 * lam
-    out.append(("residual_tv_certificate",
-                rep1.converged and cert <= 1.02,
-                f"2*lam*TV(r)={cert:.4f}"))
+    sol = _solve_minimize(f, argparse.Namespace(lam=lam, p=2))
+    block = _verification_block(f, sol)
+    out.append(("residual_tv_certificate", sol.converged and block["ok"],
+                f"2*lam*TV(r)={lam * block['phi_tv']:.4f}"))
     return out
 
 

@@ -440,22 +440,24 @@ def minimize_flambda(
     the trivial threshold lam |phi_p(f)|_TV <= 1 the zero field is optimal
     and returned exactly (its bound equals its objective).
 
-    The search over nu brackets the root, then narrows it by Illinois false
-    position.  Each probe runs a cheap inner solve (relative gap 1e-4) and
-    records the weak-duality lower bound of its iterate (dual_bound, two
-    dot products past the TV its last gap check computed); the record is
-    certified when (objective - bound) / objective <= CHEAP_GAP.  The
-    search stops at the first probe inside the band 0.5 tol_residual that
-    is certified.  Only a cheap probe whose defect lies within twice the
-    band and which is not certified goes on to the gap tol_objective; at
-    p = 1, whose bound is first order in the defect, a tight solve inside
-    the band that ended at or below CHEAP_GAP settles the search too.  A
-    budget that runs out before a probe inside the band is certified (or,
-    at p = 1, before its tight solve ends at or below that gap) leaves the
-    search unconverged.  Every inner solve appends one Probe to
-    report.probes, and the search reads its state from them: the
-    duality-gap floor of each solve, saturation, and the returned u, that
-    of the feasible record of least objective the search found, unless that
+    The search over nu runs one bracket loop from a start (nu, w, slope),
+    then narrows the bracket by Illinois false position.  The cold start
+    (0.25, w = 0, no slope) doubles nu, and its probes only bracket the
+    root.  Each probe runs a cheap inner solve (relative gap 1e-4) and
+    records the weak-duality lower bound of its iterate (dual_bound, two dot
+    products past the TV its last gap check computed); the record is
+    certified when (objective - bound) / objective <= CHEAP_GAP.  Past the
+    cold bracket the search stops at the first certified probe inside the
+    band 0.5 tol_residual.  Only a cheap probe whose defect lies within
+    twice the band and which is not certified goes on to the gap
+    tol_objective; at p = 1, whose bound is first order in the defect, a
+    tight solve inside the band that ended at or below CHEAP_GAP settles the
+    search too.  A budget that runs out before a probe inside the band is
+    certified (or, at p = 1, before its tight solve ends at or below that
+    gap) leaves the search unconverged.  Every inner solve appends one Probe
+    to report.probes, and the search reads its state from them: the
+    duality-gap floor of each solve, saturation, and the returned u, that of
+    the feasible record of least objective the search found, unless that
     record is uncertified and a certified one settles the search.
     report.lower_bound is the bound of the returned r, and report.gap_met
     says whether the solve behind u reached tol_objective, which a search
@@ -467,19 +469,19 @@ def minimize_flambda(
     cheap solves only, stops at its first probe inside the band and
     certifies nothing.  The caller's grid then starts at the coarse root,
     rescaled to the normalized data (nu_c ||f_c|| / ||f||), from the coarse
-    dual field prolonged piecewise-constant (still |w| <= 1); its second
-    probe is a secant step along the slope of the coarse level's final
-    bracket, and once both signs of the defect are seen the Illinois
-    narrowing above takes over.  A trivial, unconverged or saturated coarse
-    level leaves the cold search from nu = 0.25; at p = 1 a coarse level
-    stops, unconverged, once its bracket runs from an unsaturated probe
-    below the root to a saturated one, where it would only close in on the
-    saturation edge.  The coarse solves are recorded in report.coarse, and
-    all levels share one budget: the iterations times the cells of every
-    solve sum to at most max_iters times the cells of f (a coarse level,
-    with its own coarser levels, gets at most max_iters iterations on its
-    cells).  report.iterations counts the iterations on f's grid,
-    report.cell_iterations those of every level times their cells.
+    dual field prolonged piecewise-constant (still |w| <= 1), and takes
+    clamped secant steps from the slope of the coarse level's final bracket
+    until both signs of the defect are seen; these probes may settle the
+    search.  A trivial, unconverged or saturated coarse level leaves the
+    cold start; at p = 1 a coarse level stops, unconverged, once its
+    bracket runs from an unsaturated probe below the root to a saturated
+    one, where it would only close in on the saturation edge.  The coarse
+    solves are recorded in report.coarse, and all levels share one budget:
+    the iterations times the cells of every solve sum to at most max_iters
+    times the cells of f (a coarse level, with its own coarser levels, gets
+    at most max_iters iterations on its cells).  report.iterations counts
+    the iterations on f's grid, report.cell_iterations those of every level
+    times their cells.
     """
     grid = f.grid
     lam, p = cfg.lam, cfg.p
@@ -545,9 +547,9 @@ class _Level:
 
 
 def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool) -> _Level:
-    """The root search of minimize_flambda on f / fnorm, from the coarse
-    start where it applies.  certify=False runs a coarse level: cheap
-    solves only, and best is the last record."""
+    """The root search of minimize_flambda on f / fnorm: the bracket loop
+    from the start of _coarse_start, then the narrowing.  certify=False runs
+    a coarse level: cheap solves only, and best is the last record."""
     grid = f.grid
     lam, p = cfg.lam, cfg.p
     farr = f.values / fnorm
@@ -632,51 +634,47 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
             best = (rec, state.w.copy())
         return settled
 
-    # defect at nu = 0 is free: r = f
+    # the bracket [nu_lo, nu_hi] with the defects false position weighs, and
+    # lo, hi, the last records on either side of the root (lo None: the free
+    # defect at nu = 0, where r = f)
     d_zero = tv_norm(ScalarField(grid, farr), "isotropic") - target
     nu_lo, d_lo = 0.0, d_zero
+    lo = hi = last = None
     converged = False
-    slope = None
-    if start is None:  # expanding bracket: defect > 0 at nu_lo, <= 0 at nu_hi
-        nu = 0.25
-        d_hi = d_lo
-        while left() > 0:
-            d_hi = probe(nu).defect
-            if d_hi <= 0:
-                break
-            nu_lo, d_lo, nu = nu, d_hi, 2.0 * nu
+    nu, w0, slope = start
+    if w0 is not None:
+        np.copyto(state.w, w0)
+    # no slope: nu doubles until the defect turns, and the probes only bracket;
+    # a slope: clamped secant steps until both signs are seen, which may settle
+    while left() > 0:
+        rec = probe(nu)
+        if rec.defect > 0:
+            lo, nu_lo, d_lo = rec, nu, rec.defect
+        else:
+            hi, nu_hi, d_hi = rec, nu, rec.defect
+        if slope is not None and consider(rec):
+            converged = True
+            break
+        if hi is not None and (lo is not None or slope is None):
+            break
+        if slope is None:
+            nu *= 2.0
             if nu > 1e9:
                 break
-        nu_hi = nu
-    else:  # secant steps from the coarse root until both signs are seen
-        nu, w0, slope = start
-        np.copyto(state.w, w0)
-        nu_hi, d_hi = None, d_lo
-        last = None
-        while left() > 0:
-            rec = probe(nu)
-            if consider(rec):
-                converged = True
-                break
-            if rec.defect > 0:
-                nu_lo, d_lo = nu, rec.defect
-            else:
-                nu_hi, d_hi = nu, rec.defect
-            if nu_lo > 0.0 and nu_hi is not None:
-                break
+        else:
             rel = rec.defect / rec.scale
             if last is not None and last[0] != nu:  # the secant of two fine records
                 secant = (rel - last[1]) / (nu - last[0])
                 slope = secant if secant < 0 else slope
             last = (nu, rel)
             nu = min(max(nu - rel / slope, 0.5 * nu), 2.0 * nu)
-        if nu_hi is None:
-            nu_hi = nu
+    if hi is None:
+        nu_hi, d_hi = nu, d_lo
 
     side = 0  # Illinois false position on the bracketed certificate defect
     while not converged and left() > 0:
         # p = 1 closing in on the saturation edge: the start is dropped anyway
-        if not certify and nu_lo > 0.0 and any(q.saturated and q.nu == nu_hi for q in probes):
+        if not certify and lo is not None and hi is not None and hi.saturated:
             break
         if d_hi < 0 < d_lo:
             nu = nu_hi - d_hi * (nu_hi - nu_lo) / (d_hi - d_lo)
@@ -688,12 +686,12 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
         d = rec.defect
         settled = consider(rec)
         if d > 0:
-            nu_lo, d_lo = nu, d
+            lo, nu_lo, d_lo = rec, nu, d
             if side == -1:
                 d_hi *= 0.5
             side = -1
         else:
-            nu_hi, d_hi = nu, d
+            hi, nu_hi, d_hi = rec, nu, d
             if side == 1:
                 d_lo *= 0.5
             side = 1
@@ -704,48 +702,35 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
             converged = settled or sat_edge
             break
 
-    if not certify:
-        return _Level(probes, coarse, (probes[-1], state.w), converged,
-                      _bracket_slope(probes, d_zero / target, slope))
+    if not certify:  # the slope of the relative defect over the final bracket
+        if hi is not None and hi.nu > nu_lo:
+            rel_lo = d_zero / target if lo is None else lo.defect / lo.scale
+            slope = (hi.defect / hi.scale - rel_lo) / (hi.nu - nu_lo)
+        return _Level(probes, coarse, (probes[-1], state.w), converged, slope)
     if best is None:  # budget exhausted on the infeasible side; not converged
         best = (probe(nu_hi), state.w)
     return _Level(probes, coarse, best, converged)
 
 
-def _bracket_slope(
-    probes: list[Probe], rel_zero: float, slope: float | None
-) -> float | None:
-    """Slope of the relative defect defect/scale over the final bracket:
-    the last records on either side of the root, the free nu = 0 standing
-    in for a missing low side; slope, the one the search started from, if
-    the high side is missing."""
-    lo = next(((q.nu, q.defect / q.scale) for q in reversed(probes) if q.defect > 0),
-              (0.0, rel_zero))
-    hi = next(((q.nu, q.defect / q.scale) for q in reversed(probes) if q.defect <= 0),
-              None)
-    if hi is not None and hi[0] > lo[0]:
-        return (hi[1] - lo[1]) / (hi[0] - lo[0])
-    return slope
-
-
 def _coarse_start(
     f: ScalarField, fnorm: float, cfg: VariationalConfig
-) -> tuple[list[Probe], tuple[float, np.ndarray, float] | None]:
+) -> tuple[list[Probe], tuple[float, np.ndarray | None, float | None]]:
     """Records of the coarse levels below f's grid, and where the search on
-    f / fnorm starts: (nu, w, slope of the relative defect in nu), or None
-    for the cold search."""
+    f / fnorm starts: (nu, w, slope of the relative defect in nu), or the
+    cold start (0.25, None, None), from the zero dual field with no slope."""
     grid = f.grid
+    cold = (0.25, None, None)
     if any(n % 2 or n < 4 for n in grid.n) or grid.size >> grid.d < COARSE_MIN_CELLS:
-        return [], None
+        return [], cold
     fc = _restrict(f)
     fcnorm = lp_norm(fc, 2)
     if fcnorm == 0.0 or cfg.lam * _phi_p_tv(fc, cfg.p) <= 1.0:
-        return [], None
+        return [], cold
     level = _search(fc, fcnorm, cfg, certify=False)
     rec, w = level.best
     records = level.coarse + level.probes
     if not level.converged or rec.saturated or level.slope is None or level.slope >= 0:
-        return records, None
+        return records, cold
     ratio = fcnorm / fnorm
     return records, (rec.nu * ratio, _prolong(w), level.slope / ratio)
 

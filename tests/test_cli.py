@@ -266,8 +266,11 @@ def test_report_determinism_excluding_wall_time(tmp_path, capsys):
 
 def test_bench_rejects_unsupported_grid(tmp_path, capsys):
     out = tmp_path / "t.csv"
-    assert run(["bench", "table1", "--grids", "50,64", "--out", str(out)]) \
-        == cli.EXIT_USAGE
+    for grids in ("50,64", "50,abc"):
+        assert run(["bench", "table1", "--grids", grids, "--out", str(out)]) \
+            == cli.EXIT_USAGE
+        assert "unsupported bench grids" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_hierarchy_trace_csv(tmp_path, capsys):

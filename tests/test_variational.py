@@ -366,6 +366,47 @@ def test_minimize_bit_identity_pins(case):
     assert got == SOLVER_PINS[case]
 
 
+# Bit-identity pins of solves that start from the coarse level, which every
+# SOLVER_PINS grid is too small for: SHA-256 of u and r, report.iterations,
+# report.cell_iterations and the cell counts of the coarse levels, on the
+# Nirenberg field of side n.  p = 2 runs `bench table1`'s solve at lam =
+# 1/||f||_2 (a secant start at 50^2; at 100^2 the 50^2 level itself starts
+# from 25^2); p = 1 at lam = 1 is the coarse level that stops short of its
+# saturation edge, so the caller's grid starts cold.
+COARSE_PINS = {
+    (50, 2): (
+        "84f095d960b55fe7a49415076ef641a29eece51bd14304af485fd022674b3f3f",
+        "f507658d8d5d8401f09bec193827728546ac7f8885c45aceeaa689bd92ea2359",
+        1550, 5_781_250, {625},
+    ),
+    (100, 2): (
+        "0249857256bd3945c8d1e3b92ee92f4d9912a9d65e3011887e03c48ec55bead1",
+        "c6961997e37409461bb014e473e2b304f92f39045e9e6129bdaadfaa7af4026d",
+        3800, 44_062_500, {625, 2500},
+    ),
+    (46, 1): (
+        "63b551165ebfd51ab1b798cdb5b9bf981234780266a6e9114deb1bf6ff4e6ac9",
+        "16a3cd42722c7445a71bd570f72d5bf5211bb87254b5d4a007c66981b57498bd",
+        19_000, 41_711_650, {529},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", COARSE_PINS, ids=lambda c: f"nirenberg{c[0]}-p{c[1]}")
+def test_minimize_coarse_start_pins(case):
+    n, p = case
+    f = nirenberg_field(n)
+    if p == 2:
+        cfg = VariationalConfig(lam=1.0 / lp_norm(f, 2), **TABLE1_SETTINGS)
+    else:
+        cfg = VariationalConfig(lam=1.0, p=1, max_iters=60_000, inner_iters=2000)
+    u, r, rep = minimize_flambda(f, cfg)
+    assert rep.converged
+    got = (_sha256(u.as_array()), _sha256(r.values), rep.iterations,
+           rep.cell_iterations, {q.cells for q in rep.coarse})
+    assert got == COARSE_PINS[case]
+
+
 # (n, lo, hi, periodic) of d = 2 and 3 boxes, tori and mixed grids, several
 # with anisotropic spacing
 TV_GRIDS = {

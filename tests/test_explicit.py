@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -308,3 +310,75 @@ class TestWeakL2Strips:
             assert np.array_equal(m1.flags, m3.flags)
         for p1, p3 in zip(r1.parts, r3.parts):
             assert np.allclose(3.0 * p1.values, p3.values, rtol=1e-12)
+
+
+# Pins of the explicit splittings' outputs that the CLI goldens do not
+# cover: SHA-256 of every mask (its cells row-major, one byte each) and the
+# strip trace of the weak-L2 decomposition, on seeded inputs.  A refactor
+# of the splittings must leave them unchanged.
+def _hatch():
+    """Seeded box data on a 36 x 30 grid: small noise plus heavy rows and
+    columns of growing weight, which the strip decomposition needs two
+    passes to take apart."""
+    f = random_field(65, (36, 30))
+    vals = 0.05 * f.values
+    for i, a in enumerate(range(0, 36, 4)):
+        vals[a, :] += 0.2 * (i + 1)
+    for j, b in enumerate(range(0, 30, 3)):
+        vals[:, b] += 0.2 * (j + 1)
+    return ScalarField(f.grid, vals)
+
+
+MASK_PINS = {
+    "disjoint2d": (
+        lambda: split_disjoint_2d(random_field(60, (12, 10))),
+        ("d5fa74341ca8d1470358acc6d57f7a54e0acd9b550e2854dcb29a0520a5c78b7",
+         "10bbe323f44af1848341519a5dd9f906a7a52f8689e961302dbe9bc6a8c74638"),
+    ),
+    "inductive2d": (
+        lambda: split_inductive_nd(random_field(61, (12, 10))),
+        ("7004c0bf3f3224a59371fada770b2a1dfdd5a049369d04f44f20a82a20526b0e",
+         "4d1bb72ed78acdaee93054d357c101fce4bffa75874ec27f1ee75e9d177907d2"),
+    ),
+    "inductive3d": (
+        lambda: split_inductive_nd(random_field(62, (6, 5, 4), d=3)),
+        ("9a5f1c3f6bcbe6516c08926771fd9953428ae95e90294a51da824b2b07501aa0",
+         "6ad0f4ac49d8ed83c5dd38a61fce34dbbc0f162686ac5121f355b8e2e0864f96",
+         "ba709f42348caf2b95af7fc2d881fe234d381eeb0b796551c02ed1e7fb8c0d62"),
+    ),
+    "inductive-zero": (
+        lambda: split_inductive_nd(ScalarField.zeros(Grid((6, 5, 4), -1.0, 1.0))),
+        ("6edd9f6f9cc92cded36e6c4a580933f9c9f1b90562b46903b806f21902a1a54f",) * 3,
+    ),
+    "weakl2": (
+        lambda: decompose_weak_l2(_hatch(), 1.5)[0],
+        ("10c14a372a6b6e9a4ca77bf29520ea07444a077743f4fd8c42401b3eabe6c65b",
+         "af07e624723753730e086c3e657c7797034839b6e6dd7bc4401c8bb306d297a8"),
+    ),
+    # the leftovers of the capped run join the first part, as its second
+    # pass would have put them
+    "weakl2-capped": (
+        lambda: decompose_weak_l2(_hatch(), 1.5, max_iter=1)[0],
+        ("10c14a372a6b6e9a4ca77bf29520ea07444a077743f4fd8c42401b3eabe6c65b",
+         "af07e624723753730e086c3e657c7797034839b6e6dd7bc4401c8bb306d297a8"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MASK_PINS)
+def test_split_mask_pins(case):
+    split, pins = MASK_PINS[case]
+    res = split()
+    assert all(m.flags.dtype == bool for m in res.masks)
+    got = tuple(hashlib.sha256(m.flags.tobytes()).hexdigest() for m in res.masks)
+    assert got == pins
+
+
+def test_strip_trace_pins():
+    f = _hatch()
+    _, trace = decompose_weak_l2(f, 1.5)
+    assert trace.measures() == [3.9999999999999996, 0.07407407407407407, 0.0]
+    assert (len(trace.passes), trace.incomplete) == (2, False)
+    _, trace = decompose_weak_l2(f, 1.5, max_iter=1)
+    assert trace.measures() == [3.9999999999999996, 0.07407407407407407]
+    assert (len(trace.passes), trace.incomplete) == (1, True)

@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .fields import (  # noqa: F401
     Grid,
-    RegionMask,
     ScalarField,
     VectorField,
     cumulative_primitive,
@@ -50,7 +49,6 @@ from .variational import (  # noqa: F401
     two_step,
 )
 from .examples import (  # noqa: F401
-    ExampleSpec,
     ball_field,
     nirenberg_field,
     random_field,

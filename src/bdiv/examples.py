@@ -9,8 +9,6 @@ bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import (
@@ -20,56 +18,6 @@ from .fields import (
     gradient_array,
     mean_zero,
 )
-
-
-@dataclass(frozen=True)
-class ExampleSpec:
-    """Tagged description of one generated datum; generate() dispatches.
-
-    kind is one of nirenberg, ball, tatar, random; only the parameters the
-    kind consumes are read.
-    """
-
-    kind: str
-    n: int = 0
-    alpha: float = 1.0
-    radius: float = 1.0
-    half_width: float | None = None
-    p: float = 2.0
-    levels: int = 8
-    seed: int = 0
-    law: str = "gaussian"
-    spikes: int = 8
-    amplitude: float = 10.0
-    d: int = 2
-    periodic: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ("nirenberg", "ball", "tatar", "random"):
-            raise ValueError(f"unknown example kind {self.kind!r}")
-        if self.n < 8:
-            raise ValueError(f"need n >= 8, got {self.n}")
-        if self.kind == "tatar" and self.levels < 4:
-            raise ValueError(f"need levels >= 4, got {self.levels}")
-
-    def generate(self):
-        if self.kind == "nirenberg":
-            return nirenberg_field(self.n)
-        if self.kind == "ball":
-            return ball_field(
-                self.alpha, self.radius, self.n, half_width=self.half_width
-            )
-        if self.kind == "tatar":
-            return tatar_pair(self.p, self.levels, self.n)
-        return random_field(
-            self.seed,
-            self.n,
-            law=self.law,
-            d=self.d,
-            spikes=self.spikes,
-            amplitude=self.amplitude,
-            periodic=self.periodic,
-        )
 
 
 def nirenberg_field(n: int) -> ScalarField:
@@ -104,11 +52,7 @@ def nirenberg_potential(n: int) -> ScalarField:
 
 
 def ball_field(
-    alpha: float,
-    radius: float,
-    n: int,
-    half_width: float | None = None,
-    periodic: bool = False,
+    alpha: float, radius: float, n: int, half_width: float | None = None
 ) -> ScalarField:
     """alpha times the characteristic function of the centered ball.
 
@@ -121,7 +65,7 @@ def ball_field(
         half_width = 2.0 * radius
     if not 0.0 < radius <= half_width:
         raise ValueError("need 0 < radius <= domain half-width")
-    grid = Grid((n, n), -half_width, half_width, periodic=periodic)
+    grid = Grid((n, n), -half_width, half_width)
     x1, x2 = grid.meshgrid()
     inside = x1 * x1 + x2 * x2 <= radius * radius
     return ScalarField(grid, np.where(inside, float(alpha), 0.0))

@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (
-    RegionMask,
-    ScalarField,
-    VectorField,
-    cumulative_primitive,
-)
+from .fields import ScalarField, VectorField, cumulative_primitive
 from .norms import lp_norm, weak_lp_setnorm
 
 
@@ -50,30 +45,21 @@ class LineCertificate:
 @dataclass
 class SplitResult:
     parts: list[ScalarField]
-    masks: list[RegionMask]
+    masks: list[np.ndarray]  # boolean, one per part; none for the weighted split
     u: VectorField
     certificates: list[LineCertificate]
-
-
-@dataclass
-class StripPass:
-    index: int
-    measure_after: float
-    rows_assigned: int
-    cols_assigned: int
-    tau: float
 
 
 @dataclass
 class StripDecompositionTrace:
     initial_measure: float
     tau: float
-    passes: list[StripPass] = field(default_factory=list)
+    passes: list[float] = field(default_factory=list)  # |Omega^k| after pass k
     incomplete: bool = False
 
     def measures(self) -> list[float]:
         """|Omega^k| for k = 0, 1, ... (k = 0 is the full box)."""
-        return [self.initial_measure] + [p.measure_after for p in self.passes]
+        return [self.initial_measure] + self.passes
 
 
 def _require_box(f: ScalarField, d: int | None = None) -> None:
@@ -110,8 +96,7 @@ def _assemble(
         certs += [LineCertificate(axis=j, index=i, value=float(v), bound=bound)
                   for i, v in enumerate(vals.ravel())]
     u = VectorField([cumulative_primitive(g, j) for j, g in enumerate(fields)])
-    return SplitResult(parts=fields, masks=[RegionMask(grid, m) for m in masks],
-                       u=u, certificates=certs)
+    return SplitResult(parts=fields, masks=masks, u=u, certificates=certs)
 
 
 def _line_norms(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +178,7 @@ def split_inductive_nd(f: ScalarField) -> SplitResult:
     _require_box(f)
     bound = lp_norm(f, d)
     if bound == 0.0:
-        masks = [RegionMask(grid, np.zeros(grid.n, dtype=bool)) for _ in range(d)]
+        masks = [np.zeros(grid.n, dtype=bool) for _ in range(d)]
         zero_parts = [ScalarField.zeros(grid) for _ in range(d)]
         return SplitResult(
             parts=zero_parts,
@@ -232,7 +217,7 @@ def decompose_weak_l2(
     assign1 = np.zeros(grid.n, dtype=bool)
     assign2 = np.zeros(grid.n, dtype=bool)
 
-    for k in range(1, max_iter + 1):
+    for _ in range(max_iter):
         if not active_rows.any() or not active_cols.any():
             break
         sub = absf * active_cols[:, None] * active_rows[None, :]
@@ -246,17 +231,8 @@ def decompose_weak_l2(
         assign2 |= new2
         active_rows = active_rows & ~rows_ok
         active_cols = active_cols & ~cols_ok
-        measure = (
-            float(active_rows.sum()) * grid.h[1] * float(active_cols.sum()) * grid.h[0]
-        )
         trace.passes.append(
-            StripPass(
-                index=k,
-                measure_after=measure,
-                rows_assigned=int(rows_ok.sum()),
-                cols_assigned=int(cols_ok.sum()),
-                tau=tau,
-            )
+            float(active_rows.sum()) * grid.h[1] * float(active_cols.sum()) * grid.h[0]
         )
 
     if active_rows.any() and active_cols.any():

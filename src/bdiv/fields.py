@@ -156,26 +156,8 @@ class VectorField:
         return cls([ScalarField(grid, a) for a in arrays])
 
     def as_array(self) -> np.ndarray:
-        """Stacked (d, n1, ..., nd) view of the components."""
+        """The components stacked into a new (d, n1, ..., nd) array."""
         return np.stack([c.values for c in self.components])
-
-
-class RegionMask:
-    """Boolean flags on a grid, same cell layout as a scalar field."""
-
-    __slots__ = ("grid", "flags")
-
-    def __init__(self, grid: Grid, flags: np.ndarray):
-        flags = np.asarray(flags, dtype=bool)
-        if flags.shape != grid.n:
-            if flags.size == grid.size:
-                flags = flags.reshape(grid.n)
-            else:
-                raise ValueError(
-                    f"flags shape {flags.shape} does not match grid {grid.n}"
-                )
-        self.grid = grid
-        self.flags = flags
 
 
 # -- raw-array difference stencils -------------------------------------------
@@ -250,12 +232,6 @@ def _run(calls) -> None:
 def backward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
     out = np.empty_like(arr)
     _run(_diff_calls(arr, axis, h, periodic, out, False))
-    return out
-
-
-def forward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    out = np.empty_like(arr)
-    _run(_diff_calls(arr, axis, h, periodic, out, True))
     return out
 
 

@@ -196,9 +196,9 @@ def test_criterion4_inductive_3d_suite():
         worst_cert = max(worst_cert, max(c.value for c in res.certificates) / bound)
         union = np.zeros(grid.n, dtype=bool)
         for m in res.masks:
-            if (union & m.flags).any():
+            if (union & m).any():
                 partitions_ok = False
-            union |= m.flags
+            union |= m
         if not union[f.values != 0.0].all():
             partitions_ok = False
         div = discrete_divergence(res.u)

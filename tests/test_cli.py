@@ -13,17 +13,46 @@ def run(argv):
     return cli.main(argv)
 
 
+# kind -> (`bdiv gen` arguments, the generator call they stand for)
+GEN_CASES = {
+    "nirenberg": (["--n", "32"], lambda: [examples.nirenberg_field(32)]),
+    "ball": (["--n", "32", "--alpha", "2.0", "--radius", "1.0"],
+             lambda: [examples.ball_field(2.0, 1.0, 32)]),
+    "tatar": (["--n", "512", "--levels", "6"],
+              lambda: examples.tatar_pair(2.0, 6, 512)),
+    "random": (["--n", "16", "--seed", "5", "--law", "spikes"],
+               lambda: [examples.random_field(5, 16, law="spikes")]),
+}
+
+
 def test_gen_regeneration_matches_generator(tmp_path, capsys):
-    out = tmp_path / "ball.bdiv"
-    code = run([
-        "gen", "--kind", "ball", "--n", "32", "--alpha", "2.0",
-        "--radius", "1.0", "--out", str(out),
-    ])
-    assert code == 0
-    back = fields.read_field(out)
-    direct = examples.ball_field(2.0, 1.0, 32)
-    assert np.array_equal(back.values, direct.values)
-    assert fields.integrate(back) == pytest.approx(fields.integrate(direct))
+    outs = [tmp_path / "f.bdiv", tmp_path / "g.bdiv"]
+    for kind, (args, direct) in GEN_CASES.items():
+        code = run(["gen", "--kind", kind, *args, "--out", str(outs[0]),
+                    "--out2", str(outs[1])])
+        assert code == 0
+        want = direct()
+        for path, field in zip(outs, want):
+            back = fields.read_field(path)
+            assert back.grid == field.grid
+            assert np.array_equal(back.values, field.values)
+        assert len(want) == (2 if kind == "tatar" else 1)
+
+
+def test_gen_rejects_each_bad_parameter(tmp_path, capsys):
+    out, out2 = str(tmp_path / "f.bdiv"), str(tmp_path / "g.bdiv")
+    cases = [
+        (["--kind", "random", "--n", "4", "--out", out],
+         cli.EXIT_INVARIANT, "need n >= 8, got 4"),
+        (["--kind", "tatar", "--n", "512", "--levels", "3", "--out", out,
+          "--out2", out2], cli.EXIT_INVARIANT, "need levels >= 4, got 3"),
+        (["--kind", "tatar", "--n", "512", "--out", out],
+         cli.EXIT_USAGE, "needs --out2"),
+    ]
+    for argv, code, message in cases:
+        assert run(["gen", *argv]) == code
+        assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_gen_same_spec_byte_identical(tmp_path, capsys):
@@ -81,11 +110,28 @@ def test_solve_zero_field_zero_outputs(tmp_path, capsys):
     fields.write_field(fields.ScalarField.zeros(g), data)
     code = run([
         "solve", "--method", "disjoint2d", "--input", str(data),
-        "--out-prefix", str(tmp_path / "z"),
+        "--out-prefix", str(tmp_path / "z"), "--report", str(tmp_path / "z.json"),
     ])
     assert code == 0
     u1 = fields.read_field(tmp_path / "z_u1.bdiv")
     assert np.all(u1.values == 0.0)
+    assert json.loads((tmp_path / "z.json").read_text())["verification"][
+        "div_residual_rel"] == 0.0
+
+
+def test_solve_tiny_data_held_to_its_own_scale(tmp_path, monkeypatch, capsys):
+    # a claimed-exact u = 0 leaves r = f; with |f|_inf = 3e-11 an absolute
+    # floor of 1e-10 would accept it
+    f = fields.mean_zero(examples.random_field(3, 16, periodic=True))
+    f = fields.ScalarField(f.grid, f.values * (3e-11 / np.abs(f.values).max()))
+    data, rep = tmp_path / "tiny.bdiv", tmp_path / "rep.json"
+    fields.write_field(f, data)
+    monkeypatch.setattr(variational, "helmholtz_solve",
+                        lambda g, **kw: fields.VectorField.zeros(g.grid))
+    code = run(["solve", "--method", "helmholtz", "--input", str(data),
+                "--out-prefix", str(tmp_path / "t"), "--report", str(rep)])
+    assert code == cli.EXIT_INVARIANT
+    assert json.loads(rep.read_text())["verification"]["ok"] is False
 
 
 def test_solve_unknown_method_usage_error(tmp_path):

@@ -148,28 +148,3 @@ class TestRandomField:
         with pytest.raises(ValueError):
             random_field(0, 8, law="cauchy")
 
-
-class TestExampleSpec:
-    def test_dispatch_matches_generators(self):
-        from bdiv.examples import ExampleSpec
-
-        ball = ExampleSpec(kind="ball", n=32, alpha=2.0, radius=1.0).generate()
-        assert np.array_equal(ball.values, ball_field(2.0, 1.0, 32).values)
-        f, g = ExampleSpec(kind="tatar", n=512, levels=6).generate()
-        f2, g2 = tatar_pair(2.0, 6, 512)
-        assert np.array_equal(f.values, f2.values)
-        assert np.array_equal(g.values, g2.values)
-        rnd = ExampleSpec(kind="random", n=16, seed=5, law="spikes").generate()
-        assert np.array_equal(
-            rnd.values, random_field(5, 16, law="spikes").values
-        )
-
-    def test_invariants(self):
-        from bdiv.examples import ExampleSpec
-
-        with pytest.raises(ValueError):
-            ExampleSpec(kind="swirl", n=16)
-        with pytest.raises(ValueError):
-            ExampleSpec(kind="random", n=4)
-        with pytest.raises(ValueError):
-            ExampleSpec(kind="tatar", n=512, levels=3)

@@ -127,7 +127,7 @@ class TestDisjoint2d:
     def test_masks_partition_cellwise(self):
         f = box_field(seed=3)
         res = split_disjoint_2d(f)
-        m1, m2 = res.masks[0].flags, res.masks[1].flags
+        m1, m2 = res.masks
         assert not (m1 & m2).any()
         assert (m1 | m2).all()
         # independent cellwise recomputation of the comparison
@@ -170,7 +170,7 @@ class TestDisjoint2d:
             assert all(c <= bound for c in component_sup_norms(res.u))
             assert all(c.satisfied for c in res.certificates)
             support = f.values != 0.0
-            union = res.masks[0].flags | res.masks[1].flags
+            union = res.masks[0] | res.masks[1]
             assert union[support].all()
 
 
@@ -180,7 +180,7 @@ class TestInductive:
         rng = np.random.default_rng(4)
         f = ScalarField(g, rng.standard_normal(16))
         res = split_inductive_nd(f)
-        assert res.masks[0].flags.all()
+        assert res.masks[0].all()
         assert np.allclose(
             res.u.components[0].values,
             loop_prefix_integral(f.values, 0, g.h[0]),
@@ -191,7 +191,7 @@ class TestInductive:
     def test_zero_field(self):
         g = Grid((4, 4), 0.0, 1.0)
         res = split_inductive_nd(ScalarField.zeros(g))
-        assert all(not m.flags.any() for m in res.masks)
+        assert all(not m.any() for m in res.masks)
         assert np.all(res.u.as_array() == 0.0)
 
     def test_2d_line_bounds(self):
@@ -213,8 +213,8 @@ class TestInductive:
             check_divergence(res, f)
             union = np.zeros(f.grid.n, dtype=bool)
             for m in res.masks:
-                assert not (union & m.flags).any()
-                union |= m.flags
+                assert not (union & m).any()
+                union |= m
             assert union[f.values != 0.0].all()
             bound = lp_norm(f, 3) * SLACK
             assert all(c.value <= bound for c in res.certificates)
@@ -224,7 +224,7 @@ class TestInductive:
         res1 = split_inductive_nd(f)
         res3 = split_inductive_nd(ScalarField(f.grid, 3.0 * f.values))
         for m1, m3 in zip(res1.masks, res3.masks):
-            assert np.array_equal(m1.flags, m3.flags)
+            assert np.array_equal(m1, m3)
         for p1, p3 in zip(res1.parts, res3.parts):
             assert np.allclose(3.0 * p1.values, p3.values, rtol=1e-12)
 
@@ -255,7 +255,7 @@ class TestWeakL2Strips:
             check_divergence(res, f)
             bound = 2.0 * weak_lp_setnorm(f, 2.0) * SLACK
             assert all(c.value <= bound for c in res.certificates)
-            m1, m2 = res.masks[0].flags, res.masks[1].flags
+            m1, m2 = res.masks
             assert not (m1 & m2).any()
             assert (m1 | m2)[f.values != 0.0].all()
 
@@ -307,7 +307,7 @@ class TestWeakL2Strips:
         r1, _ = decompose_weak_l2(f, tau=2.0)
         r3, _ = decompose_weak_l2(ScalarField(f.grid, 3.0 * f.values), tau=2.0)
         for m1, m3 in zip(r1.masks, r3.masks):
-            assert np.array_equal(m1.flags, m3.flags)
+            assert np.array_equal(m1, m3)
         for p1, p3 in zip(r1.parts, r3.parts):
             assert np.allclose(3.0 * p1.values, p3.values, rtol=1e-12)
 
@@ -369,8 +369,8 @@ MASK_PINS = {
 def test_split_mask_pins(case):
     split, pins = MASK_PINS[case]
     res = split()
-    assert all(m.flags.dtype == bool for m in res.masks)
-    got = tuple(hashlib.sha256(m.flags.tobytes()).hexdigest() for m in res.masks)
+    assert all(m.dtype == bool for m in res.masks)
+    got = tuple(hashlib.sha256(m.tobytes()).hexdigest() for m in res.masks)
     assert got == pins
 
 

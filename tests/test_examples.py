@@ -148,3 +148,29 @@ class TestRandomField:
         with pytest.raises(ValueError):
             random_field(0, 8, law="cauchy")
 
+
+
+class TestExampleSpec:
+    # an example's spec is the `bdiv gen` command line; GENERATORS maps its
+    # parsed kind and parameters to the generator call
+    def test_dispatch_matches_generators(self):
+        from bdiv.cli import GENERATORS, build_parser
+
+        def generate(*argv):
+            args = build_parser().parse_args(["gen", *argv, "--out", "x"])
+            return GENERATORS[args.kind](args)
+
+        ball = generate("--kind", "ball", "--n", "32", "--alpha", "2.0",
+                        "--radius", "1.0")
+        assert np.array_equal(ball.values, ball_field(2.0, 1.0, 32).values)
+        f, g = generate("--kind", "tatar", "--n", "512", "--levels", "6")
+        f2, g2 = tatar_pair(2.0, 6, 512)
+        assert np.array_equal(f.values, f2.values)
+        assert np.array_equal(g.values, g2.values)
+        rnd = generate("--kind", "random", "--n", "16", "--seed", "5",
+                       "--law", "spikes")
+        assert np.array_equal(
+            rnd.values, random_field(5, 16, law="spikes").values
+        )
+        nir = generate("--kind", "nirenberg", "--n", "32")
+        assert np.array_equal(nir.values, nirenberg_field(32).values)

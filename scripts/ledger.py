@@ -137,12 +137,19 @@ def c8(args) -> None:
         print(f"k={k}: along +g {up:+.4f}, along -g {down:+.4f}")
 
 
+def _ending(q) -> str:
+    """How an inner solve ended: at the duality gap it asked for, once its
+    gap decided the sign of its defect (cheap p = 2 solves), or at its
+    iteration cap."""
+    return "gap" if q.gap_met else "sign" if q.sign_decided else "cap"
+
+
 def _print_probes(label: str, rep) -> None:
     """The run's totals, then one line per grid level, coarsest first: its
-    solves, iterations and cell-iterations, the relative duality gap its
-    final solve reached, and that solve's relative gap (objective - bound)
-    / objective over its weak-duality bound (inf for a saturated p = 1
-    residual, which has no bound)."""
+    solves and how they ended, iterations and cell-iterations, the relative
+    duality gap its final solve reached, and that solve's relative gap
+    (objective - bound) / objective over its weak-duality bound (inf for a
+    saturated p = 1 residual, which has no bound)."""
     print(f"{label}: {rep.iterations} iterations on the caller's grid, "
           f"{rep.cell_iterations / 1e6:.1f} M cell-iterations over all levels; "
           f"converged={rep.converged} gap_met={rep.gap_met}")
@@ -151,7 +158,10 @@ def _print_probes(label: str, rep) -> None:
         tight = [q for q in level if q.gap != 1e-4]
         last = [q for q in level if q.nu == level[-1].nu]
         iters = sum(q.iterations for q in level)
-        print(f"  {cells} cells: {len(level)} solves ({len(tight)} tight), "
+        ends = [_ending(q) for q in level]
+        print(f"  {cells} cells: {len(level)} solves ({len(tight)} tight; ended "
+              f"{ends.count('gap')} at the gap, {ends.count('sign')} sign decided, "
+              f"{ends.count('cap')} at the cap), "
               f"{iters} iterations ({sum(q.iterations for q in last)} at the "
               f"last nu), {iters * cells / 1e6:.1f} M cell-iterations, final "
               f"{'cheap' if level[-1].gap == 1e-4 else 'tight'} solve reached gap "

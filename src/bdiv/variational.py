@@ -9,13 +9,16 @@ FISTA with adaptive restart), and nu is pinned by the residual certificate
 - TV(r) = 1/(2 lambda) for p = 2, TV(r) = ||r||_2 / lambda for p = 1 -
 through a bracketed one-dimensional root search with warm starts.  Each
 probe of the search solves to a cheap duality gap first, which fixes the
-sign of the certificate defect wherever it lies outside twice the band.
-Weak duality bounds the objective from below at the cost of two dot
-products of the probe's residual (dual_bound), and the search stops at the
-first probe inside the band whose objective that bound certifies to
-CHEAP_GAP; a probe near the root that the cheap solve did not certify
-continues to the tight gap.  Hitting the certificate is then part of the
-construction rather than a limit property.  The objective is
+sign of the certificate defect wherever it lies outside twice the band; at
+p = 2 the cheap solve stops as soon as its gap decides that sign, at a gap
+that grows with the defect up to SIGN_GAP.  Weak duality bounds the
+objective from below at the cost of two dot products of the probe's
+residual (dual_bound), and the search stops at the first probe inside the
+band whose objective that bound certifies to CHEAP_GAP; a probe near the
+root that the cheap solve did not certify (at p = 2 inside the band, at
+p = 1 within twice it) continues to the tight gap.  Hitting the
+certificate is then part of the construction rather than a limit
+property.  The objective is
 1-homogeneous under (u, f, lambda) -> (cu, cf, lambda c^{p-1}), so the
 iteration runs on unit-L2-normalized data and rescales the outputs,
 keeping all internal quantities at O(1) scale.
@@ -58,6 +61,16 @@ CHECK_EVERY = 50
 # relative duality gap of the cheap solve that opens every probe, and the
 # relative gap (objective - dual_bound) / objective that settles the search
 CHEAP_GAP = 1e-4
+
+# the largest gap, relative to nu times the certificate target, at which a
+# cheap p = 2 solve stops on the sign of its defect: the gap that decides
+# the sign grows as CHEAP_GAP times the defect over twice the band, up to
+# this cap.  A cap relative to max(TV(r), target) instead lets the probes
+# far below the root stop so loosely that the next ones, warm-started from
+# them, cannot reach the cheap gap: the 64^2 ball of criterion 2 on a box
+# of half-width 4 converges in 7,200 iterations with this cap and has not
+# converged after 93,900 with that one
+SIGN_GAP = 1e-3
 
 # the solver settings of `bdiv bench table1`: the reported ratio is stable to
 # ~1e-4 well before the certificate-grade default tolerances
@@ -107,7 +120,11 @@ class Probe:
 
     gap is the relative duality gap asked (1e-4 for the cheap solve,
     tol_objective for the tight one), gap_met whether it was reached, and
-    gap_reached the relative gap of the solve's last check; cells is the
+    gap_reached the relative gap of the solve's last check; sign_decided
+    says that a cheap p = 2 solve stopped before its iteration cap, above
+    its gap, because that gap already decided the sign of its defect (such
+    a record lies outside twice the band, so it never settles the search);
+    a solve neither met nor decided stopped at its cap; cells is the
     cell count of the grid it ran on; defect is the certificate defect,
     positive while nu is below the root, and scale its natural size;
     saturated flags a vanished p = 1 residual; objective is that of the
@@ -121,6 +138,7 @@ class Probe:
     gap: float
     gap_met: bool
     gap_reached: float
+    sign_decided: bool
     iterations: int
     cells: int
     defect: float
@@ -148,13 +166,13 @@ class SolverReport:
     on a tight solve that ended at or below CHEAP_GAP, or at a saturated
     residual.  gap_met means the inner solve behind the returned u reached
     the duality-gap tolerance tol_objective rather than stopping at its
-    iteration cap or only at the cheap gap; a search that stops on a
-    certified cheap solve leaves it false.  probes holds
-    one record per inner solve of the root search on the caller's grid, in
-    the order they ran, and coarse those of the coarse levels (coarsest
-    first).  iterations counts the inner iterations on the caller's grid,
-    cell_iterations the iterations times the cells of every solve, coarse
-    ones included.
+    iteration cap, on the sign of its defect or only at the cheap gap; a
+    search that stops on a certified cheap solve leaves it false.  probes
+    holds one record per inner solve of the root search on the caller's
+    grid, in the order they ran, and coarse those of the coarse levels
+    (coarsest first).  iterations counts the inner iterations on the
+    caller's grid, cell_iterations the iterations times the cells of every
+    solve, coarse ones included.
     """
 
     iterations: int
@@ -381,15 +399,20 @@ class _DualState:
         ]
 
     def solve(
-        self, nu: float, max_iters: int, gap_rel: float, tv_ref: float
+        self, nu: float, max_iters: int, gap_rel: float, tv_ref: float,
+        sign: tuple[float, float] | None = None,
     ) -> tuple[float, int, bool, float]:
         """Run FISTA from the current w; returns the achieved TV(r), the
         iterations run, whether the duality gap reached its threshold, and
         the relative gap of the last check.
 
         Stops when the duality gap falls below gap_rel times the natural
-        scale nu * max(TV(r), tv_ref); tv_ref keeps the threshold sane when
-        the residual collapses past saturation.  Momentum restarts when the
+        scale nu * M, M = max(TV(r), tv_ref); tv_ref keeps the threshold sane
+        when the residual collapses past saturation.  With sign = (t, width)
+        it also stops, its threshold unmet, once the gap falls below nu
+        min(gap_rel |TV(r) - t| / width, SIGN_GAP t): the gap that decides
+        the sign of the defect TV(r) - t as surely as gap_rel decides it at
+        |TV(r) - t| = width, capped.  Momentum restarts when the
         gradient-mapping direction turns against the last step.  With no
         iterations allowed it only evaluates TV(r) and the gap of the
         current w.
@@ -421,6 +444,9 @@ class _DualState:
                 scale = max(nu * max(tv, tv_ref), 1e-300)
                 if gap <= gap_rel * scale:
                     return tv, it, True, gap / scale
+                if sign is not None and gap <= nu * min(
+                        gap_rel * abs(tv - sign[0]) / sign[1], SIGN_GAP * sign[0]):
+                    return tv, it, False, gap / scale
         return tv, max_iters, False, gap / scale
 
 
@@ -446,13 +472,20 @@ def minimize_flambda(
     root.  Each probe runs a cheap inner solve (relative gap 1e-4) and
     records the weak-duality lower bound of its iterate (dual_bound, two dot
     products past the TV its last gap check computed); the record is
-    certified when (objective - bound) / objective <= CHEAP_GAP.  Past the
-    cold bracket the search stops at the first certified probe inside the
-    band 0.5 tol_residual.  Only a cheap probe whose defect lies within
-    twice the band and which is not certified goes on to the gap
-    tol_objective; at p = 1, whose bound is first order in the defect, a
-    tight solve inside the band that ended at or below CHEAP_GAP settles the
-    search too.  A budget that runs out before a probe inside the band is
+    certified when (objective - bound) / objective <= CHEAP_GAP.  At p = 2
+    the cheap solve also stops once its gap decides the sign of the defect
+    d = TV(r) - t, t = 1/(2 lam) on the normalized data: at a gap of
+    nu max(CHEAP_GAP M, min(CHEAP_GAP |d| / (2 band), SIGN_GAP t)),
+    M = max(TV(r), t), which decides d as surely as CHEAP_GAP decides a
+    defect of twice the band and never fires inside twice the band.  Past
+    the cold bracket the search stops at the first certified probe inside
+    the band 0.5 tol_residual.  Only a cheap probe near the root which is
+    not certified goes on to the gap tol_objective: at p = 2 one inside the
+    band (a cheap defect is known to a few 1e-4, so one between the band
+    and twice the band cannot move into it), at p = 1 one within twice the
+    band; at p = 1, whose bound is first order in the defect, a tight solve
+    inside the band that ended at or below CHEAP_GAP settles the search
+    too.  A budget that runs out before a probe inside the band is
     certified (or, at p = 1, before its tight solve ends at or below that
     gap) leaves the search unconverged.  Every inner solve appends one Probe
     to report.probes, and the search reads its state from them: the
@@ -578,9 +611,13 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
 
     def solve(nu: float, gap: float) -> Probe:
         """One inner solve at nu to the relative gap, recorded in probes.
-        Its gap floor is the scale of the last unsaturated record."""
+        Its gap floor is the scale of the last unsaturated record; a cheap
+        p = 2 solve also stops once its gap decides the sign of its defect
+        as surely as the cheap gap decides it at twice the band."""
         tv_ref = next((q.scale for q in reversed(probes) if not q.saturated), target)
-        tv, iters, met, reached = state.solve(nu, budget(), gap, tv_ref)
+        cap = budget()
+        sign = (target, 2.0 * band) if p == 2 and gap == CHEAP_GAP else None
+        tv, iters, met, reached = state.solve(nu, cap, gap, tv_ref, sign)
         r = state.residual(nu)
         rnorm = lp_norm(ScalarField(grid, r), 2) if p == 1 else 0.0
         t = target if p == 2 else rnorm / lam_eff
@@ -593,6 +630,7 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
         bound = -math.inf if saturated else fnorm * _dual_bound(
             farr, r, tv, grid.cell_volume, lam_eff, p)
         rec = Probe(nu=nu, gap=gap, gap_met=met, gap_reached=reached,
+                    sign_decided=not met and iters < cap,
                     iterations=iters, cells=cells,
                     defect=-scale if saturated else tv - t, scale=scale,
                     saturated=saturated, objective=objective, bound=bound)
@@ -602,12 +640,15 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
     def probe(nu: float) -> Probe:
         """Solve at nu; return the last record.  A cheap solve (gap 1e-4,
         TV(r) to a few 1e-4 relative) settles the sign of the defect
-        wherever it lies outside twice the certificate band; only inside it,
-        where the cheap record is not certified, does the solve continue to
-        cfg.tol_objective, and only on the caller's grid.  No solve runs
-        past the budget."""
+        wherever it lies outside twice the certificate band, and at p = 2
+        stops as soon as its gap settles that sign.  Only a cheap record
+        near the root that is not certified continues to cfg.tol_objective,
+        and only on the caller's grid: at p = 2 one inside the band (a cheap
+        defect between band and twice the band cannot move into it), at
+        p = 1 one within twice the band.  No solve runs past the budget."""
         rec = solve(nu, CHEAP_GAP)
-        if (not certify or abs(rec.defect) > 2.0 * band * rec.scale
+        near = band if p == 2 else 2.0 * band
+        if (not certify or abs(rec.defect) > near * rec.scale
                 or rec.saturated or rec.certified or budget() <= 0):
             return rec
         return solve(nu, cfg.tol_objective)
@@ -766,7 +807,9 @@ def helmholtz_solve(
     Mode "discrete" uses those of the forward-difference gradient and of
     the backward-difference divergence composed with it, so div u = f
     holds exactly on the grid; mode "continuum" uses i kappa and -|kappa|^2
-    for comparison with the analytic solution.
+    for comparison with the analytic solution.  The mean of f counts as
+    zero up to 1e-10 ||f||_inf, relative at every scale; strict_mean=False
+    subtracts a larger one instead of rejecting f.
     """
     grid = f.grid
     if not all(grid.periodic):
@@ -775,7 +818,7 @@ def helmholtz_solve(
         raise ValueError(f"unknown mode {mode!r}")
     mean = float(np.sum(f.values)) / f.values.size
     scale = float(np.abs(f.values).max())
-    if abs(mean) > 1e-10 * max(scale, 1.0):
+    if abs(mean) > 1e-10 * scale:
         if strict_mean:
             raise ValueError("data must have zero mean on the torus")
         f = ScalarField(grid, f.values - mean)

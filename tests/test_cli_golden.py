@@ -9,7 +9,9 @@ column stopped being written as a numpy scalar repr, and those of all five
 variational cases again when the FISTA loop folded the grid spacing and the
 step into its stencils, and those of hier-p2, minimize-p2 and twostep when
 the root search began to stop on a cheap probe that the weak-duality bound
-certifies); a refactor of the CLI must leave them unchanged."""
+certifies, and again when a cheap p = 2 solve began to stop once its gap
+decides the sign of its defect); a refactor of the CLI must leave them
+unchanged."""
 
 import hashlib
 import json
@@ -101,13 +103,13 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                        'ok': True,
                                        'vector_sup_norm': 0.1258553508635817}},
           'hier-p2': {'code': 0,
-                      'files': {'trace.csv': '8e587a926befbe9406b135261cfd532990cbe1d136b606a61b69337916318e7e',
-                                'u1.bdiv': '5035f63ca03c0c3ef26455d187d3570e108928da78c6a323db6e7f14c8453108',
-                                'u2.bdiv': '234425f900ccd5ee65ebc84b1abf149619f06688094e8ab4adf8cfcefb4eb34c'},
+                      'files': {'trace.csv': 'd77487a59c737acbdf4a714c45d0316951c87f6d1acc3f39b050a2319fae5376',
+                                'u1.bdiv': 'e29c67e4ac388638cbc9a1849e879c535b83d7c4dcc376f22823782ee780111f',
+                                'u2.bdiv': '64dbeff56da128b10a23a82c413a51104f6b8417da0a613e7bad8db7871ac7c4'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                      'verification': {'component_sup_norms': [0.12538976688734732, 0.1258293635000414],
+                      'verification': {'component_sup_norms': [0.12539142212086146, 0.1258295203774798],
                                        'ok': True,
-                                       'vector_sup_norm': 0.1261237881954711}},
+                                       'vector_sup_norm': 0.12612409776228234}},
           'inductive': {'code': 0,
                         'files': {'certs.csv': 'a8b608cc4cb3962f92fc1f091b94ce518381c0af4c1a6dfd210a5287fb7577f1',
                                   'f1.bdiv': '37f616af56fd5f0189cc63cc8eeb0fa73f6c465bad9b9e8b88c06e4ccd82c372',
@@ -135,13 +137,13 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                            'ok': True,
                                            'vector_sup_norm': 0.1273128810663301}},
           'minimize-p2': {'code': 0,
-                          'files': {'r.bdiv': '4450fbdf1710b89b22d9cd8dfdd2fe878d187d570181830eab841e82365d02b0',
-                                    'u1.bdiv': '067d118fd09f8f636a1e77e60c4aa048a5435afdc82fb35296357ab28223cb5c',
-                                    'u2.bdiv': '88becc13bb8eb32921f542f665928065aa87466499bc4e34c6a3aecd1dbc2e54'},
+                          'files': {'r.bdiv': 'd1fa6f79e7bf166f0a98d534ad9c9654e98804dd0404c2c2e1fc5d94f67f7f19',
+                                    'u1.bdiv': '711bc54f12fa29a6fe239209dd1deced1f31bda74785b1fd7f0edc4b39b5f1c7',
+                                    'u2.bdiv': 'ff03fdfd080308c8a7836edb8f4fd6ba5e5705df639061c3fa025efb37cdee63'},
                           'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                          'verification': {'component_sup_norms': [0.11926867400832622, 0.11926867397621341],
+                          'verification': {'component_sup_norms': [0.119270926251215, 0.11927092599398935],
                                            'ok': True,
-                                           'vector_sup_norm': 0.11926867401629496}},
+                                           'vector_sup_norm': 0.11927092625232068}},
           'onestep2d': {'code': 0,
                         'files': {'certs.csv': 'abef8dc508ff467c30c6e936c720962be0e1571c2a2fe43b7baed18f549a39e3',
                                   'f1.bdiv': '02e930c859b7253f19982ac57930638c995d2830b229f2a20bb1152c16f726e3',
@@ -157,14 +159,14 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                          'ok': True,
                                          'vector_sup_norm': 0.7381158881565612}},
           'twostep': {'code': 0,
-                      'files': {'u1.bdiv': 'e595f9d4a372c0e45b2f56d691add3369265bdd469089d1635177e0930f4019c',
-                                'u2.bdiv': '7dd87c15bf2b8b5273ec62a516c331e88040c212f11a87228867c271a6946686'},
+                      'files': {'u1.bdiv': 'e53c30f8937f59b5d2f17e626615f4099b2d6c806d3a4291c2d1030ddeddfd86',
+                                'u2.bdiv': 'a7c82f6e926a3b2c3f5013d41b6b61b8ae7dcd602520ba7902a8a79cd66d6b9e'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                      'verification': {'component_sup_norms': [0.1292429615629093, 0.12595551486203044],
+                      'verification': {'component_sup_norms': [0.12925201887782406, 0.12594427290234886],
                                        'div_residual_rel': 1.7210284579395e-16,
                                        'div_residual_sup': 4.440892098500626e-16,
                                        'ok': True,
-                                       'vector_sup_norm': 0.12926063404752794}},
+                                       'vector_sup_norm': 0.12926913235127027}},
           'weakl2': {'code': 0,
                      'files': {'certs.csv': '8b987cd0c0b7dca47556244e095b861e83711f703498eefbd1bddee1eaafa2d3',
                                'f1.bdiv': '4240bef8c6aa89cce08d39a5eb9ce4ba519d10cef1ddb0014b20be7cb572b4ca',

@@ -17,6 +17,7 @@ from bdiv.variational import (
     CHEAP_GAP,
     SATURATION_TOL,
     VariationalConfig,
+    _DualState,
     _phi_p_tv,
     minimize_flambda,
 )
@@ -59,14 +60,45 @@ def test_minimize_contracts_and_probe_records(grid, seed, p, k):
     assert not rep.trivial
     assert rep.iterations <= cfg.max_iters
     # a tight solve only follows an uncertified cheap solve at the same nu
-    # near the root
+    # near the root: inside the band at p = 2, within twice the band at p = 1
     band = 0.5 * cfg.tol_residual
+    near = band if p == 2 else 2.0 * band
     for i, q in enumerate(rep.probes):
         if q.gap == cfg.tol_objective:
             cheap = rep.probes[i - 1]
             assert i > 0 and cheap.gap == 1e-4 and cheap.nu == q.nu
-            assert abs(cheap.defect) <= 2.0 * band * cheap.scale
+            assert abs(cheap.defect) <= near * cheap.scale
             assert not cheap.saturated and not cheap.certified
+        # only a cheap p = 2 solve stops on the sign of its defect, above the
+        # gap it asked for and outside twice the band, where it settles nothing
+        if q.sign_decided:
+            assert p == 2 and q.gap == CHEAP_GAP
+            assert not q.gap_met and q.gap_reached > CHEAP_GAP
+            assert abs(q.defect) > 2.0 * band * q.scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(grid=grids(), seed=st.integers(0, 10_000), k=st.floats(1.5, 40.0))
+def test_sign_decided_probes_keep_the_sign_of_a_fresh_solve(grid, seed, k):
+    """Every p = 2 probe that stopped above CHEAP_GAP before its cap (its
+    gap decided the sign of its defect) has the defect sign of a fresh
+    solve at the same nu, from w = 0, to a relative gap of 1e-6, and that
+    solve's defect lies outside the band too: the probe could not have
+    settled the search."""
+    f = ScalarField(grid, np.random.default_rng(seed).standard_normal(grid.n))
+    cfg = VariationalConfig(lam=k / _phi_p_tv(f, 2), max_iters=4000, inner_iters=1000)
+    _, _, rep = minimize_flambda(f, cfg)
+    fnorm = lp_norm(f, 2)
+    target = 1.0 / (2.0 * cfg.lam * fnorm)  # the certificate TV(r) on f / fnorm
+    band = 0.5 * cfg.tol_residual
+    for q in rep.probes:
+        if not q.sign_decided:
+            continue
+        state = _DualState(f.values / fnorm, grid)
+        tv, _, met, _ = state.solve(q.nu, 400_000, 1e-6, target)
+        assert met
+        assert (tv > target) == (q.defect > 0)
+        assert abs(tv - target) > band * target
 
 
 # -- the coarse start -----------------------------------------------------------

@@ -28,21 +28,25 @@ that one too, labelled "parent") it records:
 With --parent every round runs both checkouts, alternating which goes
 first, so the two columns are paired.  Every child process is
 single-threaded numpy.  Each column names the commit of its checkout, the
-SHA-256 of the src/ files it measured and the line count (as wc -l counts
-them) of each src/bdiv/*.py file with their total; the file also records
-nproc, Python and numpy.
+SHA-256 of the src/ files it measured, the line count (as wc -l counts
+them) of each src/bdiv/*.py file with their total, and the code lines of
+each (not blank, comment or docstring) with their total; the file also
+records nproc, Python and numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -209,9 +213,37 @@ def src_lines(tree: Path) -> dict:
     return {**counts, "total": sum(counts.values())}
 
 
+def code_lines(text: str) -> int:
+    """Lines of Python source text that hold a token other than a comment,
+    outside the docstrings of the module, its classes and functions."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        body = getattr(node, "body", None)
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)) and body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            docs.update(range(body[0].lineno, body[0].end_lineno + 1))
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER)
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in skip:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docs)
+
+
+def src_code_lines(tree: Path) -> dict:
+    """code_lines of each src/bdiv/*.py file, and the total."""
+    counts = {path.name: code_lines(path.read_text())
+              for path in sorted((tree / "src" / "bdiv").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
 def git_state(tree: Path) -> dict:
     """HEAD of the checkout, whether its sources differ from HEAD, and the
-    hash and line counts of the sources measured."""
+    hash, line counts and code-line counts of the sources measured."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree,
                           capture_output=True, text=True, check=False)
     diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src"],
@@ -219,7 +251,8 @@ def git_state(tree: Path) -> dict:
     return {"commit": head.stdout.strip() or None,
             "src_modified": diff.returncode != 0,
             "src_sha256": src_sha256(tree),
-            "src_lines": src_lines(tree)}
+            "src_lines": src_lines(tree),
+            "src_code_lines": src_code_lines(tree)}
 
 
 def workload_names(tree: Path) -> tuple[list[str], float]:

@@ -202,9 +202,7 @@ def _solve_hierarchy(run, f, args, lam) -> Solution:
     r_last = levels[-1]["r_norm"] if levels else trace.f_norm
     report["residual_rel"] = r_last / trace.f_norm if levels else 0.0
     columns = [c.name for c in dataclasses.fields(variational.LevelRecord)]
-    # numpy scalars as Python numbers, so every cell is a plain number
-    table = (columns, ([repr(v.item() if isinstance(v, np.generic) else v)
-                        for v in rec.values()] for rec in levels))
+    table = (columns, ([repr(v) for v in rec.values()] for rec in levels))
     return Solution(u, report=report, files={"trace": table}, residual=r_last,
                     converged=not (trace.stagnated or trace.lambda_too_small))
 
@@ -240,7 +238,7 @@ def _verification_block(f, sol: Solution) -> dict:
     reports convergence, the certificate |phi_p(r)|_TV <= (1 + tol_residual)
     / lam, or for p = 1 the saturation ||r||_2 <= SATURATION_TOL ||f||_2
     (the contracts of `variational.minimize_flambda`).  The weak-duality
-    lower_bound recomputed from f and r (`variational.dual_bound`, None for
+    lower_bound recomputed from f and r (`variational.contract`, None for
     a saturated p = 1 residual) must not exceed the objective (up to a
     relative 1e-12 of rounding: at the trivial threshold the two are equal),
     and when a p = 2 solve reports convergence, rel_gap = (objective -
@@ -269,18 +267,14 @@ def _verification_block(f, sol: Solution) -> dict:
     cfg = sol.minimized
     if cfg is not None:
         lam, p = cfg.lam, cfg.p
-        r_norm, f_norm = norms.lp_norm(claim, 2), norms.lp_norm(f, 2)
-        block["objective"] = norms.sup_norm_vector(sol.u) + lam * r_norm**p
-        block["trivial_bound"] = lam * f_norm**p
-        block["phi_tv"] = variational._phi_p_tv(claim, p)
-        block["certificate_bound"] = (1.0 + cfg.tol_residual) / lam
-        held = block["phi_tv"] <= block["certificate_bound"] or (
-            p == 1 and r_norm <= variational.SATURATION_TOL * f_norm
+        c = variational.contract(f, sol.u.as_array(), claim, lam, p)
+        objective, lower, f_norm = c["objective"], c["lower_bound"], norms.lp_norm(f, 2)
+        block.update(objective=objective, trivial_bound=lam * f_norm**p, phi_tv=c["phi_tv"],
+                     certificate_bound=(1.0 + cfg.tol_residual) / lam, lower_bound=lower,
+                     rel_gap=(objective - lower) / objective if objective > 0 else 0.0)
+        held = c["phi_tv"] <= block["certificate_bound"] or (
+            p == 1 and c["r_norm"] <= variational.SATURATION_TOL * f_norm
         )
-        lower = variational.dual_bound(f, claim, lam, p)
-        objective = block["objective"]
-        block["lower_bound"] = lower
-        block["rel_gap"] = (objective - lower) / objective if objective > 0 else 0.0
         certified = p == 1 or block["rel_gap"] <= variational.CHEAP_GAP
         block["ok"] = (
             block["ok"]

@@ -13,7 +13,7 @@ sign of the certificate defect wherever it lies outside twice the band; at
 p = 2 the cheap solve stops as soon as its gap decides that sign, at a gap
 that grows with the defect up to SIGN_GAP.  Weak duality bounds the
 objective from below at the cost of two dot products of the probe's
-residual (dual_bound), and the search stops at the first probe inside the
+residual (_dual_bound), and the search stops at the first probe inside the
 band whose objective that bound certifies to CHEAP_GAP; a probe near the
 root that the cheap solve did not certify (at p = 2 inside the band, at
 p = 1 within twice it) continues to the tight gap.  Hitting the
@@ -59,7 +59,7 @@ SATURATION_TOL = 1e-3
 CHECK_EVERY = 50
 
 # relative duality gap of the cheap solve that opens every probe, and the
-# relative gap (objective - dual_bound) / objective that settles the search
+# relative gap (objective - lower bound) / objective that settles the search
 CHEAP_GAP = 1e-4
 
 # the largest gap, relative to nu times the certificate target, at which a
@@ -129,7 +129,7 @@ class Probe:
     positive while nu is below the root, and scale its natural size;
     saturated flags a vanished p = 1 residual; objective is that of the
     iterate on the data of its grid, and bound the weak-duality lower bound
-    on its minimum from the iterate's residual (dual_bound; -inf for a
+    on its minimum from the iterate's residual (_dual_bound; -inf for a
     saturated residual).  The record is certified when (objective - bound)
     / objective <= CHEAP_GAP.
     """
@@ -157,7 +157,7 @@ class SolverReport:
     """Outcome of one minimization: certificates and convergence record.
 
     lower_bound is the weak-duality lower bound on the minimum computed
-    from the returned r (dual_bound; -inf for a saturated p = 1 residual),
+    from the returned r (contract; -inf for a saturated p = 1 residual),
     so objective - lower_bound bounds how far the result is from optimal.
     converged means the search settled inside the certificate band: at
     p = 2 on a certified record, and the returned (u, r) are certified,
@@ -191,7 +191,9 @@ class SolverReport:
 
 @dataclass
 class HierarchyConfig:
-    """Knobs of the multistep schemes (doubling-lambda and fixed-lambda)."""
+    """Knobs of the multistep schemes (doubling-lambda and fixed-lambda).
+    lambda1, when given, wins over eta, and lam over gamma_assumed: neither
+    is then estimated (estimate_eta, the Helmholtz probe of gamma)."""
 
     eta: float | None = None
     lambda1: float | None = None
@@ -245,19 +247,28 @@ def _phi_p_tv(r: ScalarField, p: int) -> float:
     return p * rnorm ** (p - 2) * tv_norm(r, "isotropic")
 
 
-def dual_bound(f: ScalarField, r: ScalarField, lam: float, p: int) -> float:
-    """Weak-duality lower bound on min_u ||u||_inf + lam ||f - div u||_2^p
-    from a residual r, by _dual_bound; -inf for a p = 1 residual saturated
-    in the sense of minimize_flambda (||r||_2 <= SATURATION_TOL ||f||_2)."""
-    if p == 1 and lp_norm(r, 2) <= SATURATION_TOL * lp_norm(f, 2):
-        return -math.inf
-    return _dual_bound(f.values, r.values, tv_norm(r, "isotropic"),
-                       f.grid.cell_volume, lam, p)
+def contract(f: ScalarField, u_arr: np.ndarray, r: ScalarField, lam: float,
+             p: int) -> dict[str, float]:
+    """The contract of a result (u, r) of min_u ||u||_inf + lam ||f - div
+    u||_2^p, u as a stacked (d, ...) array: objective, u_sup, r_norm, phi_tv
+    = |phi_p(r)|_TV (0 for r = 0) and lower_bound, the weak-duality lower
+    bound on the minimum by _dual_bound, -inf for a p = 1 residual saturated
+    in the sense of minimize_flambda (||r||_2 <= SATURATION_TOL ||f||_2).
+    TV(r) is computed once, for phi_tv and the bound."""
+    u_sup, r_norm = sup_magnitude(u_arr), lp_norm(r, 2)
+    tv = tv_norm(r, "isotropic")
+    if p == 1 and r_norm <= SATURATION_TOL * lp_norm(f, 2):
+        lower = -math.inf
+    else:
+        lower = _dual_bound(f.values, r.values, tv, f.grid.cell_volume, lam, p)
+    return dict(objective=u_sup + lam * r_norm**p, u_sup=u_sup, r_norm=r_norm,
+                phi_tv=0.0 if r_norm == 0.0 else p * r_norm ** (p - 2) * tv,
+                lower_bound=lower)
 
 
 def _dual_bound(f: np.ndarray, r: np.ndarray, tv: float, vol: float, lam: float,
                 p: int) -> float:
-    """The bound of dual_bound from the arrays of f and r and TV(r).
+    """The lower_bound of contract from the arrays of f and r and TV(r).
 
     div and -grad are adjoint on boxes and tori, so for any phi with
     TV(phi) <= 1, <f, phi> = <u, -grad phi> + <r, phi> <= ||u||_inf + <r,
@@ -470,7 +481,7 @@ def minimize_flambda(
     then narrows the bracket by Illinois false position.  The cold start
     (0.25, w = 0, no slope) doubles nu, and its probes only bracket the
     root.  Each probe runs a cheap inner solve (relative gap 1e-4) and
-    records the weak-duality lower bound of its iterate (dual_bound, two dot
+    records the weak-duality lower bound of its iterate (_dual_bound, two dot
     products past the TV its last gap check computed); the record is
     certified when (objective - bound) / objective <= CHEAP_GAP.  At p = 2
     the cheap solve also stops once its gap decides the sign of the defect
@@ -518,50 +529,32 @@ def minimize_flambda(
     """
     grid = f.grid
     lam, p = cfg.lam, cfg.p
-    fnorm = lp_norm(f, 2)
-
-    phi_tv_f = _phi_p_tv(f, p)
-    if lam * phi_tv_f <= 1.0 or fnorm == 0.0:
-        report = SolverReport(
-            iterations=0,
-            objective=lam * fnorm**p,
-            u_sup=0.0,
-            r_norm=fnorm,
-            phi_tv=phi_tv_f,
-            converged=True,
-            gap_met=True,
-            lower_bound=dual_bound(f, f, lam, p),
-            trivial=True,
-        )
+    zero = np.zeros((grid.d,) + grid.n)
+    trivial = contract(f, zero, f, lam, p)  # that of u = 0, r = f
+    if lam * trivial["phi_tv"] <= 1.0 or trivial["r_norm"] == 0.0:
+        report = SolverReport(iterations=0, converged=True, gap_met=True, trivial=True,
+                              **trivial)
         return VectorField.zeros(grid), f.copy(), report
 
+    fnorm = trivial["r_norm"]
     level = _search(f, fnorm, cfg, certify=True)
     rec, w = level.best
-    converged = level.converged
     u_arr = (rec.nu * fnorm) * w
-    r_arr = f.values - divergence_array(u_arr, grid)
-    r_field = ScalarField(grid, r_arr)
-    obj = _report_objective(u_arr, r_field, lam, p)
-    if obj > lam * fnorm**p:  # trivial bound must hold exactly
-        u_arr = np.zeros_like(u_arr)
-        r_field = f.copy()
-        obj = lam * fnorm**p
-        converged = False
-    lower = dual_bound(f, r_field, lam, p)
+    r_field = ScalarField(grid, f.values - divergence_array(u_arr, grid))
+    c = contract(f, u_arr, r_field, lam, p)
     # at p = 2 the returned (u, r) themselves carry the certificate
-    converged = converged and (p == 1 or obj - lower <= CHEAP_GAP * obj)
+    converged = level.converged and (
+        p == 1 or c["objective"] - c["lower_bound"] <= CHEAP_GAP * c["objective"])
+    if c["objective"] > trivial["objective"]:  # trivial bound must hold exactly
+        u_arr, r_field, c, converged = zero, f.copy(), trivial, False
     report = SolverReport(
         iterations=sum(q.iterations for q in level.probes),
-        objective=obj,
-        u_sup=sup_magnitude(u_arr),
-        r_norm=lp_norm(r_field, 2),
-        phi_tv=_phi_p_tv(r_field, p),
         converged=converged,
         gap_met=rec.gap_met and rec.gap <= cfg.tol_objective,
-        lower_bound=lower,
         cell_iterations=sum(q.iterations * q.cells for q in level.coarse + level.probes),
         probes=level.probes,
         coarse=level.coarse,
+        **c,
     )
     return VectorField.from_arrays(grid, list(u_arr)), r_field, report
 
@@ -623,9 +616,8 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
         t = target if p == 2 else rnorm / lam_eff
         saturated = p == 1 and rnorm <= SATURATION_TOL
         scale = max(t, t_floor)
-        objective = _report_objective(
-            (nu * fnorm) * state.w, ScalarField(grid, fnorm * r), lam, p
-        )
+        objective = (sup_magnitude((nu * fnorm) * state.w)
+                     + lam * lp_norm(ScalarField(grid, fnorm * r), 2) ** p)
         # the bound scales with the objective: fnorm times that of farr, r
         bound = -math.inf if saturated else fnorm * _dual_bound(
             farr, r, tv, grid.cell_volume, lam_eff, p)
@@ -791,10 +783,6 @@ def _prolong(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _report_objective(u_arr: np.ndarray, r: ScalarField, lam: float, p: int) -> float:
-    return sup_magnitude(u_arr) + lam * lp_norm(r, 2) ** p
-
-
 # -- spectral Helmholtz solver -------------------------------------------------
 
 
@@ -850,26 +838,19 @@ def two_step(
     """Bounded solution in two moves: minimize with lam = 1/||f||_2, then
     feed the residual to the Helmholtz solver.  The Helmholtz part inverts
     its data exactly, so div u = f up to the exactness of r1 = f - div u1,
-    which is exact by construction."""
+    which is exact by construction.  cfg supplies the solver settings; its
+    lam is replaced by 1/||f||_2.  The report is that of the first step,
+    unchanged, so every field describes one minimization whose contract
+    holds; its lower_bound bounds the objective of the two-step u too."""
     if f.grid.d != 2:
         raise ValueError("two-step construction is for d = 2")
     if not all(f.grid.periodic):
         raise ValueError("two-step construction needs a periodic grid")
-    fnorm = lp_norm(f, 2)
-    if fnorm == 0.0:
-        rep = SolverReport(0, 0.0, 0.0, 0.0, 0.0, True, True, trivial=True)
-        return VectorField.zeros(f.grid), rep
-    if cfg is None:
-        cfg = VariationalConfig(lam=1.0 / fnorm)
-    else:
-        cfg = replace(cfg, lam=1.0 / fnorm)
+    fnorm = lp_norm(f, 2)  # f = 0: any lam returns the zero field
+    cfg = replace(cfg or VariationalConfig(lam=1.0), lam=1.0 / fnorm if fnorm else 1.0)
     u1, r1, rep = minimize_flambda(f, cfg)
     u2 = helmholtz_solve(r1, strict_mean=False)
-    total = u1.as_array() + u2.as_array()
-    u = VectorField.from_arrays(f.grid, list(total))
-    r = ScalarField(f.grid, f.values - divergence_array(total, f.grid))
-    return u, replace(rep, objective=_report_objective(total, r, cfg.lam, cfg.p),
-                      u_sup=sup_norm_vector(u), r_norm=lp_norm(r, 2), trivial=False)
+    return VectorField.from_arrays(f.grid, list(u1.as_array() + u2.as_array())), rep
 
 
 # -- hierarchical schemes ------------------------------------------------------
@@ -885,7 +866,7 @@ def _stripe_closure_witness(grid: Grid) -> float:
     for lo, hi in zip(grid.lo, grid.hi):
         area *= hi - lo
     best = max(hi - lo for lo, hi in zip(grid.lo, grid.hi))
-    return best / (8.0 * np.sqrt(area))
+    return best / (8.0 * math.sqrt(area))
 
 
 def estimate_eta(f: ScalarField) -> float:
@@ -899,9 +880,8 @@ def estimate_eta(f: ScalarField) -> float:
     tv0 = _phi_p_tv(f, 2)
     if tv0 == 0.0:
         return 1.0
-    _, r, _ = minimize_flambda(f, VariationalConfig(lam=64.0 / tv0))
-    tv_r = _phi_p_tv(r, 2)
-    probe = 1.0 if tv_r == 0.0 else 2.0 * lp_norm(r, 2) / tv_r
+    rep = minimize_flambda(f, VariationalConfig(lam=64.0 / tv0))[2]
+    probe = 1.0 if rep.phi_tv == 0.0 else 2.0 * rep.r_norm / rep.phi_tv
     return max(probe, _stripe_closure_witness(f.grid))
 
 
@@ -925,7 +905,7 @@ def _level_loop(
         lam_j = lam_of(j)
         u_j, r_j, rep = minimize_flambda(r_prev, VariationalConfig(lam=lam_j, p=p))
         total += u_j.as_array()
-        r_norm = lp_norm(r_j, 2)
+        r_norm = rep.r_norm
         ratio = r_norm / prev_norm if prev_norm > 0 else 0.0
         trace.levels.append(
             LevelRecord(
@@ -951,9 +931,9 @@ def hierarchical_p2(
     f: ScalarField, cfg: HierarchyConfig | None = None
 ) -> tuple[VectorField, HierarchyTrace]:
     """Doubling-lambda hierarchy: level j minimizes ||u||_inf + lam_j
-    ||r_{j-1} - div u||_2^2 with lam_j = lam_1 2^(j-1), lam_1 = 2 eta /
-    ||f||_2.  The residuals decay geometrically once the TV certificates
-    engage, and the partial sums stay uniformly bounded."""
+    ||r_{j-1} - div u||_2^2 with lam_j = lam_1 2^(j-1), lam_1 = cfg.lambda1
+    or 2 eta / ||f||_2.  The residuals decay geometrically once the TV
+    certificates engage, and the partial sums stay uniformly bounded."""
     if cfg is None:
         cfg = HierarchyConfig()
     fnorm = lp_norm(f, 2)
@@ -961,9 +941,10 @@ def hierarchical_p2(
     if fnorm == 0.0:
         return VectorField.zeros(f.grid), trace
 
-    eta = cfg.eta if cfg.eta is not None else estimate_eta(f)
-    trace.eta_used = eta
-    lam1 = cfg.lambda1 if cfg.lambda1 is not None else 2.0 * eta / fnorm
+    lam1 = cfg.lambda1
+    if lam1 is None:
+        trace.eta_used = cfg.eta if cfg.eta is not None else estimate_eta(f)
+        lam1 = 2.0 * trace.eta_used / fnorm
 
     u, trace.stagnated = _level_loop(
         f, cfg, trace, 2, lambda j: lam1 * 2.0 ** (j - 1), lambda q: q > 0.95
@@ -985,16 +966,16 @@ def hierarchical_p1(
     if fnorm == 0.0:
         return VectorField.zeros(grid), trace
 
-    gamma = cfg.gamma_assumed
-    if gamma is None:
-        if not all(grid.periodic):
-            raise ValueError(
-                "gamma_assumed is required on non-periodic grids (no "
-                "Helmholtz probe available)"
-            )
-        probe = helmholtz_solve(f, strict_mean=False)
-        gamma = sup_norm_vector(probe) / fnorm
-    lam = cfg.lam if cfg.lam is not None else 4.0 * gamma
+    lam, gamma = cfg.lam, cfg.gamma_assumed
+    if lam is None:
+        if gamma is None:
+            if not all(grid.periodic):
+                raise ValueError(
+                    "gamma_assumed is required on non-periodic grids (no "
+                    "Helmholtz probe available)"
+                )
+            gamma = sup_norm_vector(helmholtz_solve(f, strict_mean=False)) / fnorm
+        lam = 4.0 * gamma
 
     u, trace.lambda_too_small = _level_loop(
         f, cfg, trace, 1, lambda j: lam, lambda q: q >= 1.0

@@ -199,6 +199,15 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_NOCONV
 
 
+def test_hier_p1_on_a_box_needs_no_gamma(tmp_path, capsys):
+    # the CLI always passes --lambda, so no Helmholtz probe of gamma runs
+    data = tmp_path / "f.bdiv"
+    run(["gen", "--kind", "random", "--n", "12", "--seed", "11", "--out", str(data)])
+    code = run(["solve", "--method", "hier-p1", "--input", str(data),
+                "--out-prefix", str(tmp_path / "h")])
+    assert code == cli.EXIT_OK
+
+
 def test_norms_command_matches_library(tmp_path, capsys):
     data = tmp_path / "f.bdiv"
     run(["gen", "--kind", "random", "--n", "10", "--seed", "1",

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -612,6 +613,16 @@ class TestTwoStep:
         with pytest.raises(ValueError):
             two_step(f)
 
+    def test_report_is_the_first_minimization(self):
+        # every field describes the one solve at lam = 1/||f||_2, so the
+        # report's objective and lower_bound keep its certified gap
+        f = nirenberg_field(50)
+        cfg = VariationalConfig(lam=1.0, **TABLE1_SETTINGS)
+        rep = two_step(f, cfg)[1]
+        assert rep == minimize_flambda(f, replace(cfg, lam=1.0 / lp_norm(f, 2)))[2]
+        assert rep.converged
+        assert rep.objective - rep.lower_bound <= CHEAP_GAP * rep.objective
+
 
 class TestHierarchicalP2:
     def test_zero_data_empty_trace(self):
@@ -644,6 +655,17 @@ class TestHierarchicalP2:
         u, trace = hierarchical_p2(f, HierarchyConfig())
         for rec in trace.levels:
             assert 2.0 * rec.lam * rec.r_tv <= 1.0 + 0.011
+
+    def test_lambda1_skips_the_eta_estimate(self, monkeypatch):
+        def boom(f):
+            raise AssertionError("estimate_eta called with lambda1 given")
+
+        monkeypatch.setattr("bdiv.variational.estimate_eta", boom)
+        f = torus_field(n=12, seed=12)
+        for eta in (None, 0.5):
+            u, trace = hierarchical_p2(f, HierarchyConfig(eta=eta, lambda1=2.0, max_levels=3))
+            assert trace.eta_used == eta
+            assert [rec.lam for rec in trace.levels] == [2.0, 4.0, 8.0][:len(trace.levels)]
 
     def test_eta_estimate_positive(self):
         f = torus_field(n=12, seed=13)
@@ -716,3 +738,15 @@ class TestHierarchicalP1:
         f = random_field(17, 12)
         with pytest.raises(ValueError):
             hierarchical_p1(f, HierarchyConfig())
+
+    def test_lam_given_runs_on_a_box_without_gamma(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("Helmholtz probe run with lam given")
+
+        monkeypatch.setattr("bdiv.variational.helmholtz_solve", boom)
+        f = random_field(17, 16)
+        u, trace = hierarchical_p1(f, HierarchyConfig(lam=5.0, max_levels=4))
+        assert trace.levels and all(rec.lam == 5.0 for rec in trace.levels)
+        assert not trace.lambda_too_small
+        r = ScalarField(f.grid, f.values - discrete_divergence(u).values)
+        assert lp_norm(r, 2) == pytest.approx(trace.levels[-1].r_norm, rel=1e-10)

@@ -529,8 +529,7 @@ def minimize_flambda(
     """
     grid = f.grid
     lam, p = cfg.lam, cfg.p
-    zero = np.zeros((grid.d,) + grid.n)
-    trivial = contract(f, zero, f, lam, p)  # that of u = 0, r = f
+    trivial = contract(f, np.zeros((grid.d,) + grid.n), f, lam, p)  # u = 0, r = f
     if lam * trivial["phi_tv"] <= 1.0 or trivial["r_norm"] == 0.0:
         report = SolverReport(iterations=0, converged=True, gap_met=True, trivial=True,
                               **trivial)
@@ -546,7 +545,7 @@ def minimize_flambda(
     converged = level.converged and (
         p == 1 or c["objective"] - c["lower_bound"] <= CHEAP_GAP * c["objective"])
     if c["objective"] > trivial["objective"]:  # trivial bound must hold exactly
-        u_arr, r_field, c, converged = zero, f.copy(), trivial, False
+        u_arr, r_field, c, converged = np.zeros_like(u_arr), f.copy(), trivial, False
     report = SolverReport(
         iterations=sum(q.iterations for q in level.probes),
         converged=converged,

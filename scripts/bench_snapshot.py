@@ -218,13 +218,10 @@ def code_lines(text: str) -> int:
     outside the docstrings of the module, its classes and functions."""
     docs = set()
     for node in ast.walk(ast.parse(text)):
-        body = getattr(node, "body", None)
         if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                              ast.AsyncFunctionDef)) and body
-                and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)):
-            docs.update(range(body[0].lineno, body[0].end_lineno + 1))
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
     skip = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER)
     code = set()

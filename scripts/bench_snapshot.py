@@ -17,13 +17,19 @@ that one too, labelled "parent") it records:
   bdiv.TABLE1_SETTINGS of this checkout, passed to both) on the Nirenberg
   field at N = 50, 100 and 200, N = 200 in the first TWOSTEP_RUNS rounds
   only;
-- two layer rows: ns per cell per iteration of one projected-FISTA solve
-  (_DualState.solve) at fixed nu on the Nirenberg field at 16^2 (the size
-  of hierarchy-small), 32^2, 64^2, 128^2 and 256^2, the duality-gap check
-  every CHECK_EVERY iterations included; and ms per norms.morrey_norm call on the seed-1 spikes field
-  at 32^2, 48^2, 64^2, 128^2 and 256^2, 256^2 in the first MORREY_RUNS
-  round only (the argsort-per-centre body took minutes there; 128^2 runs
-  in every round, since three runs could not resolve a change).
+- three layer rows: ns per cell of one bound divergence and of one bound
+  gradient (the fields._divergence_calls and _gradient_calls lists the
+  FISTA iteration reruns, in unit spacing) on a torus and on a box at
+  16^2, 50^2, 100^2 and 512^2, and on a box at 48^3, each run the median
+  of STENCIL_REPEATS timed loops; ns per cell per iteration of one
+  projected-FISTA solve (_DualState.solve) at fixed nu on the Nirenberg
+  field at 16^2 (the size of hierarchy-small), 32^2, 64^2, 128^2 and
+  256^2, the duality-gap check every CHECK_EVERY iterations included, each
+  run the median of FISTA_REPEATS solves; and ms per norms.morrey_norm
+  call on the seed-1 spikes field at 32^2, 48^2, 64^2, 128^2 and 256^2,
+  256^2 in the first MORREY_RUNS round only (the argsort-per-centre body
+  took minutes there; 128^2 runs in every round, since three runs could
+  not resolve a change).
 
 With --parent every round runs both checkouts, alternating which goes
 first, so the two columns are paired.  Every child process is
@@ -61,16 +67,57 @@ RUNS = 10  # paired runs per workload
 FISTA_SIZES = (16, 32, 64, 128, 256)
 FISTA_NU = 0.06  # near the root of the Table-1 two-step first solve
 FISTA_ITERS = 200
-FISTA_REPEATS = 3  # timed solves per size and run
+FISTA_REPEATS = 9  # timed solves per size and run; the run records their median
+STENCIL_SIZES = tuple((n, n, periodic) for n in (16, 50, 100, 512)
+                      for periodic in (True, False)) + ((48, 48, 48, False),)
+STENCIL_REPEATS = 9  # timed loops per size and run; the run records their median
+STENCIL_CELLS = 2_000_000  # cells a timed loop differences, rounded up to whole calls
 MORREY_SIZES = (32, 48, 64, 128, 256)
 MORREY_RUNS = {256: 1}  # rounds that time these sizes; others: RUNS
 TWOSTEP_SIZES = (50, 100, 200)
 TWOSTEP_RUNS = {200: 3}  # rounds that time these sizes; others: RUNS
 
+# per size, the median over repeats of one timed loop of bound divergence
+# (gradient) calls, each writing every cell of a C-ordered buffer; uses only
+# names whose C-buffer behaviour every checkout shares; argv: the sizes as
+# JSON, the repeats, the cells per loop
+STENCIL_LAYER = """
+import json, statistics, sys, time
+import numpy as np
+from bdiv.fields import Grid, _divergence_calls, _gradient_calls, _run
+
+repeats, cells = int(sys.argv[2]), int(sys.argv[3])
+out = {}
+for *n, periodic in json.loads(sys.argv[1]):
+    grid = Grid(n, 0.0, 1.0, periodic=periodic)
+    unit, per = (1.0,) * grid.d, grid.periodic
+    rng = np.random.default_rng(0)
+    v, g = rng.standard_normal((grid.d,) + grid.n), rng.standard_normal(grid.n)
+    tmp = np.empty(grid.n) if grid.d > 1 else None
+    ops = {"div": _divergence_calls(v, unit, per, np.empty(grid.n), tmp),
+           "grad": _gradient_calls(g, unit, per, np.empty(v.shape))}
+    loops = -(-cells // grid.size)
+    row = {}
+    for op, calls in ops.items():
+        _run(calls)
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(loops):
+                _run(calls)
+            times.append(time.perf_counter() - t0)
+        row[op] = statistics.median(times) / (loops * grid.size) * 1e9
+    label = "x".join(map(str, n)) + (" torus" if periodic else " box")
+    out[label] = row
+print(json.dumps(out))
+"""
+
+
 # one timed FISTA solve per repeat, from a fresh zero dual field, so every
-# repeat does the same work; argv: sizes, nu, iterations, repeats
+# repeat does the same work; the median of the repeats per size; argv:
+# sizes, nu, iterations, repeats
 FISTA_LAYER = """
-import json, sys, time
+import json, statistics, sys, time
 from bdiv.examples import nirenberg_field
 from bdiv.norms import lp_norm
 from bdiv.variational import _DualState
@@ -89,7 +136,7 @@ for n in map(int, sizes):
         times.append(time.perf_counter() - t0)
         if ran != iters:
             raise SystemExit(f"solve stopped after {ran} of {iters} iterations")
-    out[n] = [t / (iters * f.values.size) * 1e9 for t in times]
+    out[n] = statistics.median(times) / (iters * f.values.size) * 1e9
 print(json.dumps(out))
 """
 
@@ -167,6 +214,11 @@ def layer(tree: Path, script: str, *args) -> dict:
 def fista_layer(tree: Path) -> dict:
     return layer(tree, FISTA_LAYER, ",".join(map(str, FISTA_SIZES)),
                  repr(FISTA_NU), str(FISTA_ITERS), str(FISTA_REPEATS))
+
+
+def stencil_layer(tree: Path) -> dict:
+    return layer(tree, STENCIL_LAYER, json.dumps(STENCIL_SIZES),
+                 str(STENCIL_REPEATS), str(STENCIL_CELLS))
 
 
 def morrey_layer(tree: Path, seed: int) -> dict:
@@ -261,6 +313,7 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
     names, seconds = workload_names(ROOT)
     raw = {label: {w: [] for w in names} for label in trees}
     fista = {label: {n: [] for n in FISTA_SIZES} for label in trees}
+    stencil = {label: {} for label in trees}
     morrey = {label: {n: [] for n in MORREY_SIZES} for label in trees}
     twostep = {label: {n: [] for n in TWOSTEP_SIZES} for label in trees}
     order = list(trees)
@@ -272,8 +325,11 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
                 raw[label][w].append(
                     run_perfbench(trees[label], w, seed, seconds, 0))
         for label in labels:
-            for n, values in fista_layer(trees[label]).items():
-                fista[label][int(n)].extend(values)
+            for size, row in stencil_layer(trees[label]).items():
+                for op, ns in row.items():
+                    stencil[label].setdefault(op, {}).setdefault(size, []).append(ns)
+            for n, ns in fista_layer(trees[label]).items():
+                fista[label][int(n)].append(ns)
             for n, ms in morrey_layer(trees[label], seed).items():
                 morrey[label][int(n)].append(ms)
             for n, row in twostep_row(trees[label], seed).items():
@@ -312,6 +368,9 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
                 },
             },
             "layers": {
+                **{f"fields.{op}_ns_per_cell": {
+                    size: summary(values) for size, values in sizes.items()}
+                   for op, sizes in stencil[label].items()},
                 "variational.fista_ns_per_cell_iter": {
                     f"{n}x{n}": summary(fista[label][n]) for n in FISTA_SIZES
                 },
@@ -332,6 +391,8 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
             "runs": RUNS, "seconds": seconds, "seeds": list(range(1, RUNS + 1)),
             "fista_nu": FISTA_NU, "fista_iters": FISTA_ITERS,
             "fista_repeats_per_run": FISTA_REPEATS,
+            "stencil_repeats_per_run": STENCIL_REPEATS,
+            "stencil_cells_per_loop": STENCIL_CELLS,
             "morrey_runs": {str(n): MORREY_RUNS.get(n, RUNS) for n in MORREY_SIZES},
             "twostep_runs": {str(n): TWOSTEP_RUNS.get(n, RUNS) for n in TWOSTEP_SIZES},
             "twostep_settings": TABLE1_SETTINGS,

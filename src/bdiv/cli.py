@@ -5,13 +5,14 @@ Exit codes: 0 success, 2 usage errors (argparse), 3 solver
 non-convergence, 4 invariant violation.  Reports are JSON on stdout (or
 --report FILE), tables are CSV, fields travel in the binary BDIV1 format.
 Identical commands on identical inputs produce byte-identical field files
-and reports up to the wall-time and digest-of-output entries of the run
-manifest.
+and reports up to the wall-time, phase-time and digest-of-output entries
+of the run manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -33,7 +34,9 @@ EXIT_INVARIANT = 4
 
 @dataclass
 class RunManifest:
-    """Provenance of one command invocation."""
+    """Provenance of one command invocation.  `bdiv solve` also times its
+    read, solve, write and verify phases into phases_s; other commands
+    report no phases_s."""
 
     command: list[str]
     config: dict
@@ -41,6 +44,7 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
     wall_time_s: float = 0.0
     version: str = __version__
+    phases_s: dict[str, float] = field(default_factory=dict)
 
     @classmethod
     def of(cls, args: argparse.Namespace) -> "RunManifest":
@@ -63,9 +67,19 @@ class RunManifest:
             _write_csv(path, *content)
         self.digest(path, "out")
 
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        """Time the block with perf_counter into phases_s[name]."""
+        t0 = time.perf_counter()
+        yield
+        self.phases_s[name] = time.perf_counter() - t0
+
     def finish(self, t0: float) -> dict:
         self.wall_time_s = time.perf_counter() - t0
-        return asdict(self)
+        report = asdict(self)
+        if not self.phases_s:
+            del report["phases_s"]
+        return report
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -293,14 +307,18 @@ def _verification_block(f, sol: Solution) -> dict:
 def cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     manifest = RunManifest.of(args)
-    f = fields.read_field(args.input)
-    manifest.digest(args.input, "in")
-    sol = METHODS[args.method](f, args)
-    comps = {f"u{i}": c for i, c in enumerate(sol.u.components, start=1)}
-    for suffix, content in {**comps, **sol.files}.items():
-        ext = "bdiv" if isinstance(content, fields.ScalarField) else "csv"
-        manifest.write(f"{args.out_prefix}_{suffix}.{ext}", content)
-    verification = _verification_block(f, sol)
+    with manifest.phase("read"):
+        f = fields.read_field(args.input)
+        manifest.digest(args.input, "in")
+    with manifest.phase("solve"):
+        sol = METHODS[args.method](f, args)
+    with manifest.phase("write"):
+        comps = {f"u{i}": c for i, c in enumerate(sol.u.components, start=1)}
+        for suffix, content in {**comps, **sol.files}.items():
+            ext = "bdiv" if isinstance(content, fields.ScalarField) else "csv"
+            manifest.write(f"{args.out_prefix}_{suffix}.{ext}", content)
+    with manifest.phase("verify"):
+        verification = _verification_block(f, sol)
     report = {"method": args.method, **sol.report, "verification": verification}
     report["manifest"] = manifest.finish(t0)
     _emit_report(report, args.report)

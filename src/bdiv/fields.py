@@ -8,14 +8,17 @@ Conventions used throughout the package:
   the pair is an exact adjoint (up to sign) both on periodic grids and on
   boxes with the zero-outside extension,
 * this module holds the only implementation of that stencil pair,
-  ``_diff_calls``: it binds, once, the few ufunc calls on the slices 1:,
-  :-1, :1 and -1: along the axis (index tuples built once per (ndim,
-  axis)) that write a difference into a preallocated buffer; the functions
-  below allocate a buffer and ``_run`` the bound lists of ``_diff_calls``,
-  ``_divergence_calls`` or ``_gradient_calls`` once, and solver hot loops
-  keep those lists and rerun them; with h = 1 ``_diff_calls`` binds the
-  plain difference, no division, which is how the FISTA loop runs its
-  stencils in unit spacing,
+  ``_diff_calls``: it binds, once, the few ufunc calls that write a
+  difference into a preallocated buffer, one subtract over the flat
+  buffers for the interior and then one call on the edge slice :1 or -1:
+  along the axis (index tuples built once per (ndim, axis)), which must
+  run after the interior call since it overwrites the edge cells the flat
+  subtract gets wrong; src and out must be C-contiguous, so the functions
+  below take a C copy of their input, allocate C-ordered outputs and
+  ``_run`` the bound lists of ``_diff_calls``, ``_divergence_calls`` or
+  ``_gradient_calls`` once, while solver hot loops keep those lists and
+  rerun them; with h = 1 ``_diff_calls`` binds the plain difference, no
+  division, which is how the FISTA loop runs its stencils in unit spacing,
 * reductions go through ``np.sum`` (fixed pairwise tree), so results are
   bit-stable across runs.
 """
@@ -168,14 +171,11 @@ class VectorField:
 
 
 @functools.cache
-def _axis_slices(ndim: int, axis: int) -> tuple[tuple[slice, ...], ...]:
+def _edge_slices(ndim: int, axis: int) -> tuple[tuple[slice, ...], ...]:
     """Index tuples selecting, along one axis of an ndim array, the cells
-    1:, :-1, :1 and -1: (trailing axes are left whole)."""
+    :1 and -1: (trailing axes are left whole)."""
     lead = (slice(None),) * axis
-    return tuple(
-        lead + (s,)
-        for s in (slice(1, None), slice(None, -1), slice(None, 1), slice(-1, None))
-    )
+    return lead + (slice(None, 1),), lead + (slice(-1, None),)
 
 
 def _diff_calls(
@@ -185,16 +185,30 @@ def _diff_calls(
     """Bound ufunc calls that set out to the backward (forward) difference
     of src along axis divided by h: one subtract, one edge fix and one
     division, over views taken here once; no division when h == 1.0, since
-    x / 1.0 == x exactly."""
-    tail, head, first, last = _axis_slices(src.ndim, axis)
-    inner, edge = (head, last) if forward else (tail, first)
-    calls = [functools.partial(np.subtract, src[tail], src[head], out[inner])]
+    x / 1.0 == x exactly.
+
+    src and out must be C-contiguous (ValueError otherwise).  Along an axis
+    whose stride is s elements, the interior is one subtract of the flat
+    buffers shifted by s, src[k + s] - src[k] written to out[k] (forward)
+    or out[k + s] (backward): each cell off the edge slab gets the same
+    IEEE subtraction of the same two operands as a slice along the axis
+    would give it.  The cells of the edge slab -1: (forward) or :1
+    (backward) pair across it and come out wrong, so the edge call must run
+    after the interior call: it overwrites exactly those cells."""
+    if not (src.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("difference stencils need C-contiguous src and out")
+    first, last = _edge_slices(src.ndim, axis)
+    s = math.prod(src.shape[axis + 1:])
+    flat_src, flat_out = src.reshape(-1), out.reshape(-1)
+    interior = flat_out[:-s] if forward else flat_out[s:]
+    calls = [functools.partial(np.subtract, flat_src[s:], flat_src[:-s], interior)]
     if periodic:  # edge slices, not src[0]: in 1-D that is a scalar out= rejects
+        edge = last if forward else first
         calls.append(functools.partial(np.subtract, src[first], src[last], out[edge]))
     elif forward:  # x * -1.0 is -x; numpy 2.4.6's np.negative misreads 64-byte strides
-        calls.append(functools.partial(np.multiply, src[last], -1.0, out[edge]))
+        calls.append(functools.partial(np.multiply, src[last], -1.0, out[last]))
     else:
-        calls.append(functools.partial(np.copyto, out[edge], src[first]))
+        calls.append(functools.partial(np.copyto, out[first], src[first]))
     if h != 1.0:
         calls.append(functools.partial(np.divide, out, h, out))
     return calls
@@ -230,21 +244,24 @@ def _run(calls) -> None:
 
 
 def backward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    out = np.empty_like(arr)
+    arr = np.ascontiguousarray(arr)
+    out = np.empty(arr.shape)
     _run(_diff_calls(arr, axis, h, periodic, out, False))
     return out
 
 
 def divergence_array(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Backward-difference divergence of a stacked (d, ...) component array."""
-    out = np.empty_like(v[0])
-    tmp = np.empty_like(out) if grid.d > 1 else None
+    v = np.ascontiguousarray(v)
+    out = np.empty(v.shape[1:])
+    tmp = np.empty(out.shape) if grid.d > 1 else None
     _run(_divergence_calls(v, grid.h, grid.periodic, out, tmp))
     return out
 
 
 def gradient_array(g: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward-difference gradient, stacked as a (d, ...) array."""
+    g = np.ascontiguousarray(g)
     out = np.empty((grid.d,) + g.shape)
     _run(_gradient_calls(g, grid.h, grid.periodic, out))
     return out

@@ -329,7 +329,9 @@ class _DualState:
     the two restart subtractions.  Called directly: np.vdot and the
     coefficient-dependent momentum update.
 
-    The arrays are allocated at construction; a solve allocates none.  w is
+    The arrays are allocated at construction, C-ordered, as the stencils
+    of ``fields`` require of src and out (a component x[a] of a C-ordered
+    (d, ...) array is C-contiguous too); a solve allocates none.  w is
     one of the two swap buffers _w2, and a solve starts from whichever it
     is; _wy holds the extrapolated point; _r the residual, or q in the
     iteration; _fs holds f_s; _tmp the per-component scratch of the

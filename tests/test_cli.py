@@ -311,12 +311,29 @@ def test_report_determinism_excluding_wall_time(tmp_path, capsys):
         ])
         rep = json.loads(rep_path.read_text())
         rep["manifest"].pop("wall_time_s")
+        rep["manifest"].pop("phases_s")
         rep["manifest"]["config"].pop("out_prefix")
         rep["manifest"]["config"].pop("report")
         rep["manifest"]["outputs"] = sorted(rep["manifest"]["outputs"].values())
         rep["manifest"]["command"] = None
         reports.append(rep)
     assert reports[0] == reports[1]
+
+
+def test_solve_manifest_times_its_phases(tmp_path, capsys):
+    data = tmp_path / "f.bdiv"
+    gen_rep = tmp_path / "gen.json"
+    run(["gen", "--kind", "random", "--n", "12", "--seed", "6", "--periodic",
+         "--mean-zero", "--out", str(data), "--report", str(gen_rep)])
+    assert "phases_s" not in json.loads(gen_rep.read_text())["manifest"]
+    rep_path = tmp_path / "rep.json"
+    assert run(["solve", "--method", "twostep", "--input", str(data),
+                "--out-prefix", str(tmp_path / "t"), "--report", str(rep_path)]) == 0
+    manifest = json.loads(rep_path.read_text())["manifest"]
+    phases = manifest["phases_s"]
+    assert set(phases) == {"read", "solve", "write", "verify"}
+    assert all(t >= 0.0 for t in phases.values())
+    assert sum(phases.values()) <= manifest["wall_time_s"]
 
 
 def test_bench_rejects_unsupported_grid(tmp_path, capsys):

@@ -301,38 +301,72 @@ def stencil_grids(draw):
     return Grid(draw(axes), lo, hi, periodic=draw(flags))
 
 
-def nan_buffer(shape, layout):
-    """A NaN-filled buffer, C-ordered, Fortran-ordered or a strided view."""
-    if layout == "C":
-        return np.full(shape, np.nan)
+def in_layout(arr, layout):
+    """arr's values in a Fortran-ordered array, a view with its axes
+    cyclically transposed, or a step-2 strided view."""
     if layout == "F":
-        return np.asfortranarray(np.full(shape, np.nan))
-    every_other = (slice(None, None, 2),) * len(shape)
-    return np.full(tuple(2 * s for s in shape), np.nan)[every_other]
+        return np.asfortranarray(arr)
+    if layout == "transposed":
+        perm = np.roll(np.arange(arr.ndim), 1)
+        return np.ascontiguousarray(arr.transpose(perm)).transpose(np.argsort(perm))
+    every_other = (slice(None, None, 2),) * arr.ndim
+    out = np.full(tuple(2 * s for s in arr.shape), np.nan)
+    out[every_other] = arr
+    return out[every_other]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    grid=stencil_grids(),
+    layout=st.sampled_from(["F", "transposed", "strided"]),
+    seed=st.integers(0, 10_000),
+)
+def test_allocating_operators_ignore_input_layout(grid, layout, seed):
+    """The allocating operators give a non-C input the bits of its C copy."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((grid.d,) + grid.n)
+    g = rng.standard_normal(grid.n)
+    v_in, g_in = in_layout(v, layout), in_layout(g, layout)
+    if grid.d > 1 or layout == "strided":
+        assert not g_in.flags.c_contiguous
+    assert np.array_equal(divergence_array(v_in, grid), divergence_array(v, grid))
+    assert np.array_equal(gradient_array(g_in, grid), gradient_array(g, grid))
+    for a in range(grid.d):
+        assert np.array_equal(backward_diff(g_in, a, grid.h[a], grid.periodic[a]),
+                              backward_diff(g, a, grid.h[a], grid.periodic[a]))
+
+
+@pytest.mark.parametrize("layout", ["F", "strided"])
+@pytest.mark.parametrize("forward", [False, True])
+def test_diff_calls_reject_non_c_buffers(layout, forward):
+    """The bound stencils run on flat C-ordered buffers; any other src or
+    out is refused when the calls are bound."""
+    vals = np.random.default_rng(2).standard_normal((4, 6))
+    bad = in_layout(vals, layout)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _diff_calls(bad, 1, 1.0, False, np.empty_like(vals), forward)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _diff_calls(vals, 1, 1.0, False, in_layout(np.empty_like(vals), layout), forward)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    grid=stencil_grids(),
-    layout=st.sampled_from(["C", "F", "strided"]),
-    seed=st.integers(0, 10_000),
-)
-def test_in_place_kernel_matches_allocating_operators(grid, layout, seed):
-    """The in-place stencils the solver calls write every cell, into any
-    buffer layout (the gradient into out[a] views), with the same bits as
-    the allocating operators."""
+@given(grid=stencil_grids(), seed=st.integers(0, 10_000))
+def test_in_place_kernel_matches_allocating_operators(grid, seed):
+    """The in-place stencils the solver calls write every cell of a C
+    buffer (the gradient into out[a] views), with the same bits as the
+    allocating operators."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((grid.d,) + grid.n)
     g = rng.standard_normal(grid.n)
 
-    div = nan_buffer(grid.n, layout)
-    tmp = nan_buffer(grid.n, layout) if grid.d > 1 else None
+    div = np.full(grid.n, np.nan)
+    tmp = np.full(grid.n, np.nan) if grid.d > 1 else None
     _run(_divergence_calls(v, grid.h, grid.periodic, div, tmp))
     assert np.array_equal(div, divergence_array(v, grid))
     expect = stencil_divergence(list(v), grid.h, grid.periodic)
     assert np.allclose(div, expect, atol=1e-14)
 
-    grad = nan_buffer((grid.d,) + grid.n, layout)
+    grad = np.full((grid.d,) + grid.n, np.nan)
     _run(_gradient_calls(g, grid.h, grid.periodic, grad))
     assert np.array_equal(grad, gradient_array(g, grid))
 

@@ -111,7 +111,7 @@ def c2_hier(args) -> None:
     for half_width in (None, 4.0):
         f = ball_field(BALL_ALPHA, 1.0, 64, half_width=half_width)
         _, trace = hierarchical_p2(
-            f, HierarchyConfig(lambda1=2.0, max_levels=3, stop_residual=1e-9)
+            f, HierarchyConfig(lam=2.0, max_levels=3, stop_residual=1e-9)
         )
         print(f"half-width {half_width or 2.0}: level sup-norms "
               + " ".join(f"{rec.u_sup:.4f}" for rec in trace.levels)

@@ -12,13 +12,11 @@ from .fields import (  # noqa: F401
     integrate,
     mean_zero,
     read_field,
-    sample_function,
     write_field,
 )
 from .norms import (  # noqa: F401
     NormKind,
     component_sup_norms,
-    frechet_derivative,
     lorentz_norm,
     lp_norm,
     morrey_norm,
@@ -31,7 +29,6 @@ from .explicit import (  # noqa: F401
     SplitResult,
     StripDecompositionTrace,
     decompose_weak_l2,
-    line_energy,
     split_disjoint_2d,
     split_inductive_nd,
     split_onestep_2d,

@@ -2,11 +2,13 @@
 and the invariant verification suites.
 
 Exit codes: 0 success, 2 usage errors (argparse), 3 solver
-non-convergence, 4 invariant violation.  Reports are JSON on stdout (or
---report FILE), tables are CSV, fields travel in the binary BDIV1 format.
-Identical commands on identical inputs produce byte-identical field files
-and reports up to the wall-time, phase-time and digest-of-output entries
-of the run manifest.
+non-convergence, 4 invariant violation or an input the library rejects
+(ValueError or OSError, e.g. `solve --method minimize` with no
+--lambda).  Reports are JSON on stdout (or --report FILE), tables are
+CSV, fields travel in the binary BDIV1 format.  Identical commands on
+identical inputs produce byte-identical field files and reports up to
+the wall-time, phase-time and digest-of-output entries of the run
+manifest.
 """
 
 from __future__ import annotations
@@ -199,18 +201,16 @@ def _solve_twostep(f, args) -> Solution:
 
 
 def _solve_minimize(f, args) -> Solution:
+    if args.lam is None:
+        raise ValueError("minimize needs --lambda")
     cfg = variational.VariationalConfig(lam=args.lam, p=args.p)
     u, r, rep = variational.minimize_flambda(f, cfg)
     return Solution(u, report={"solver": asdict(rep)}, files={"r": r},
                     residual=r, converged=rep.converged, minimized=cfg)
 
 
-def _solve_hierarchy(run, f, args, lam) -> Solution:
-    cfg = variational.HierarchyConfig(
-        eta=args.eta, lambda1=args.lambda1, max_levels=args.levels,
-        gamma_assumed=args.gamma, lam=lam,
-    )
-    u, trace = run(f, cfg)
+def _solve_hierarchy(run, f, args) -> Solution:
+    u, trace = run(f, variational.HierarchyConfig(lam=args.lam, max_levels=args.levels))
     report = {"trace": dict(asdict(trace), eta_measured=trace.eta_measured)}
     levels = report["trace"]["levels"]
     r_last = levels[-1]["r_norm"] if levels else trace.f_norm
@@ -236,8 +236,8 @@ METHODS = {
     "helmholtz": _solve_helmholtz,
     "twostep": _solve_twostep,
     "minimize": _solve_minimize,
-    "hier-p2": lambda f, a: _solve_hierarchy(variational.hierarchical_p2, f, a, None),
-    "hier-p1": lambda f, a: _solve_hierarchy(variational.hierarchical_p1, f, a, a.lam),
+    "hier-p2": lambda f, a: _solve_hierarchy(variational.hierarchical_p2, f, a),
+    "hier-p1": lambda f, a: _solve_hierarchy(variational.hierarchical_p1, f, a),
 }
 
 
@@ -392,16 +392,16 @@ def _check_fields(seed: int) -> list[tuple[str, bool, str]]:
         grid, [rng.standard_normal(grid.n) for _ in range(2)]
     )
     lhs = fields.inner(g, fields.discrete_divergence(v))
-    rhs = -fields.inner_vector(fields.forward_gradient(g), v)
+    rhs = -sum(map(fields.inner, fields.forward_gradient(g).components, v.components))
     out = [("adjointness", abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0),
             f"<g,div v>={lhs:.6e} -<grad g,v>={rhs:.6e}")]
 
     box = fields.Grid((9, 7), 0.0, (1.0, 2.0), periodic=False)
     fbox = fields.ScalarField(box, rng.standard_normal(box.n))
     prim = fields.cumulative_primitive(fbox, 0)
-    back = fields.backward_diff(prim.values, 0, box.h[0], False)
+    back = fields.discrete_divergence(fields.VectorField([prim, fields.ScalarField.zeros(box)]))
     out.append(("primitive_inversion",
-                float(np.abs(back - fbox.values).max()) <= 1e-12,
+                float(np.abs(back.values - fbox.values).max()) <= 1e-12,
                 "backward difference of the primitive recovers f"))
 
     import os
@@ -577,12 +577,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out-prefix", required=True)
     s.add_argument("--tau", type=float, default=2.0)
     s.add_argument("--max-iter", type=int, default=64)
-    s.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    s.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="lambda of minimize (required) and of a hierarchy's "
+                   "level 1 (estimated when absent)")
     s.add_argument("--p", type=int, default=2, choices=[1, 2])
-    s.add_argument("--eta", type=float, default=None)
-    s.add_argument("--lambda1", type=float, default=None)
     s.add_argument("--levels", type=int, default=20)
-    s.add_argument("--gamma", type=float, default=None)
     s.add_argument("--mode", default="discrete", choices=["discrete", "continuum"])
     s.add_argument("--report", default=None)
     s.set_defaults(func=cmd_solve)

@@ -70,18 +70,6 @@ def _require_box(f: ScalarField, d: int | None = None) -> None:
         raise ValueError("construction needs a non-periodic grid (box data)")
 
 
-def line_energy(f: ScalarField, axis: int, index: int) -> float:
-    """Integral of |f| along the grid line running in direction `axis` at
-    the given transverse index (2-D grids)."""
-    _require_box(f, 2)
-    grid = f.grid
-    other = 1 - axis
-    if not 0 <= index < grid.n[other]:
-        raise ValueError(f"line index {index} out of range")
-    line = f.values[:, index] if axis == 0 else f.values[index, :]
-    return float(np.sum(np.abs(line))) * grid.h[axis]
-
-
 def _assemble(
     f: ScalarField, parts: list[np.ndarray], masks: list[np.ndarray], bound: float
 ) -> SplitResult:

@@ -15,10 +15,10 @@ Conventions used throughout the package:
   run after the interior call since it overwrites the edge cells the flat
   subtract gets wrong; src and out must be C-contiguous, so the functions
   below take a C copy of their input, allocate C-ordered outputs and
-  ``_run`` the bound lists of ``_diff_calls``, ``_divergence_calls`` or
-  ``_gradient_calls`` once, while solver hot loops keep those lists and
-  rerun them; with h = 1 ``_diff_calls`` binds the plain difference, no
-  division, which is how the FISTA loop runs its stencils in unit spacing,
+  ``_run`` the bound lists of ``_divergence_calls`` or ``_gradient_calls``
+  once, while solver hot loops keep those lists and rerun them; with h = 1
+  ``_diff_calls`` binds the plain difference, no division, which is how
+  the FISTA loop runs its stencils in unit spacing,
 * reductions go through ``np.sum`` (fixed pairwise tree), so results are
   bit-stable across runs.
 """
@@ -243,13 +243,6 @@ def _run(calls) -> None:
         call()
 
 
-def backward_diff(arr: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    out = np.empty(arr.shape)
-    _run(_diff_calls(arr, axis, h, periodic, out, False))
-    return out
-
-
 def divergence_array(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Backward-difference divergence of a stacked (d, ...) component array."""
     v = np.ascontiguousarray(v)
@@ -292,13 +285,6 @@ def cumulative_primitive(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField(grid, out)
 
 
-def sample_function(grid: Grid, fn: Callable[..., np.ndarray]) -> ScalarField:
-    """Evaluate fn(x1, ..., xd) at all cell centers (vectorized call)."""
-    values = np.asarray(fn(*grid.meshgrid()), dtype=np.float64)
-    values = np.broadcast_to(values, grid.n).copy()
-    return ScalarField(grid, values)
-
-
 def integrate(f: ScalarField) -> float:
     return float(np.sum(f.values)) * f.grid.cell_volume
 
@@ -308,12 +294,6 @@ def inner(f: ScalarField, g: ScalarField) -> float:
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     return float(np.sum(f.values * g.values)) * f.grid.cell_volume
-
-
-def inner_vector(u: VectorField, v: VectorField) -> float:
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    return float(np.sum(u.as_array() * v.as_array())) * u.grid.cell_volume
 
 
 def mean_zero(f: ScalarField) -> ScalarField:

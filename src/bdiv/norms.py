@@ -178,14 +178,6 @@ def tv_norm(g: ScalarField, variant: str = "isotropic") -> float:
     raise ValueError(f"unknown TV variant {variant!r}")
 
 
-def frechet_derivative(v: ScalarField, p: float) -> ScalarField:
-    """Derivative of w -> ||w||_2^p at v, i.e. p ||v||_2^(p-2) v."""
-    nrm = lp_norm(v, 2)
-    if nrm == 0.0:
-        raise ValueError("derivative of the norm power is undefined at 0")
-    return ScalarField(v.grid, p * nrm ** (p - 2) * v.values)
-
-
 # tag -> (parameter parsers, evaluator taking (f, *params), parameters of the
 # bare tag).  Evaluators look the norm functions up when called, so a
 # rebinding of this module's names also reaches NormKind.  The label is the

@@ -191,22 +191,17 @@ class SolverReport:
 
 @dataclass
 class HierarchyConfig:
-    """Knobs of the multistep schemes (doubling-lambda and fixed-lambda).
-    lambda1, when given, wins over eta, and lam over gamma_assumed: neither
-    is then estimated (estimate_eta, the Helmholtz probe of gamma)."""
+    """Knobs of the multistep schemes.  lam is the lambda of level 1:
+    hierarchical_p2 doubles it at each level and hierarchical_p1 keeps it.
+    None estimates it from f, as each scheme's docstring says."""
 
-    eta: float | None = None
-    lambda1: float | None = None
+    lam: float | None = None
     max_levels: int = 20
     stop_residual: float = 1e-3
-    gamma_assumed: float | None = None
-    lam: float | None = None
 
     def __post_init__(self):
         if self.max_levels < 1:
             raise ValueError("need at least one level")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
 
 
 @dataclass
@@ -239,14 +234,6 @@ class HierarchyTrace:
         return best
 
 
-def _phi_p_tv(r: ScalarField, p: int) -> float:
-    """|phi_p(r)|_TV with the solver's isotropic TV; 0 for r = 0."""
-    rnorm = lp_norm(r, 2)
-    if rnorm == 0.0:
-        return 0.0
-    return p * rnorm ** (p - 2) * tv_norm(r, "isotropic")
-
-
 def contract(f: ScalarField, u_arr: np.ndarray, r: ScalarField, lam: float,
              p: int) -> dict[str, float]:
     """The contract of a result (u, r) of min_u ||u||_inf + lam ||f - div
@@ -264,6 +251,12 @@ def contract(f: ScalarField, u_arr: np.ndarray, r: ScalarField, lam: float,
     return dict(objective=u_sup + lam * r_norm**p, u_sup=u_sup, r_norm=r_norm,
                 phi_tv=0.0 if r_norm == 0.0 else p * r_norm ** (p - 2) * tv,
                 lower_bound=lower)
+
+
+def _is_trivial(c: dict[str, float], lam: float) -> bool:
+    """Whether the contract c of the zero field (u = 0, r = f) shows it
+    optimal: below the trivial threshold lam |phi_p(f)|_TV <= 1, or f = 0."""
+    return lam * c["phi_tv"] <= 1.0 or c["r_norm"] == 0.0
 
 
 def _dual_bound(f: np.ndarray, r: np.ndarray, tv: float, vol: float, lam: float,
@@ -532,7 +525,7 @@ def minimize_flambda(
     grid = f.grid
     lam, p = cfg.lam, cfg.p
     trivial = contract(f, np.zeros((grid.d,) + grid.n), f, lam, p)  # u = 0, r = f
-    if lam * trivial["phi_tv"] <= 1.0 or trivial["r_norm"] == 0.0:
+    if _is_trivial(trivial, lam):
         report = SolverReport(iterations=0, converged=True, gap_met=True, trivial=True,
                               **trivial)
         return VectorField.zeros(grid), f.copy(), report
@@ -757,9 +750,10 @@ def _coarse_start(
     if any(n % 2 or n < 4 for n in grid.n) or grid.size >> grid.d < COARSE_MIN_CELLS:
         return [], cold
     fc = _restrict(f)
-    fcnorm = lp_norm(fc, 2)
-    if fcnorm == 0.0 or cfg.lam * _phi_p_tv(fc, cfg.p) <= 1.0:
+    trivial = contract(fc, np.zeros((grid.d,) + fc.grid.n), fc, cfg.lam, cfg.p)
+    if _is_trivial(trivial, cfg.lam):
         return [], cold
+    fcnorm = trivial["r_norm"]
     level = _search(fc, fcnorm, cfg, certify=False)
     rec, w = level.best
     records = level.coarse + level.probes
@@ -878,7 +872,7 @@ def estimate_eta(f: ScalarField) -> float:
     Overestimates are harmless (the closure inequality holds a fortiori and
     lambda_1 just starts higher); underestimates only cost extra levels.
     """
-    tv0 = _phi_p_tv(f, 2)
+    tv0 = 2.0 * tv_norm(f, "isotropic")  # |phi_2(f)|_TV
     if tv0 == 0.0:
         return 1.0
     rep = minimize_flambda(f, VariationalConfig(lam=64.0 / tv0))[2]
@@ -932,19 +926,19 @@ def hierarchical_p2(
     f: ScalarField, cfg: HierarchyConfig | None = None
 ) -> tuple[VectorField, HierarchyTrace]:
     """Doubling-lambda hierarchy: level j minimizes ||u||_inf + lam_j
-    ||r_{j-1} - div u||_2^2 with lam_j = lam_1 2^(j-1), lam_1 = cfg.lambda1
-    or 2 eta / ||f||_2.  The residuals decay geometrically once the TV
+    ||r_{j-1} - div u||_2^2 with lam_j = lam_1 2^(j-1), lam_1 = cfg.lam, or
+    when that is None 2 eta / ||f||_2 with eta = estimate_eta(f), recorded
+    in trace.eta_used.  The residuals decay geometrically once the TV
     certificates engage, and the partial sums stay uniformly bounded."""
-    if cfg is None:
-        cfg = HierarchyConfig()
+    cfg = cfg or HierarchyConfig()
     fnorm = lp_norm(f, 2)
-    trace = HierarchyTrace(f_norm=fnorm, eta_used=cfg.eta)
+    trace = HierarchyTrace(f_norm=fnorm, eta_used=None)
     if fnorm == 0.0:
         return VectorField.zeros(f.grid), trace
 
-    lam1 = cfg.lambda1
+    lam1 = cfg.lam
     if lam1 is None:
-        trace.eta_used = cfg.eta if cfg.eta is not None else estimate_eta(f)
+        trace.eta_used = estimate_eta(f)
         lam1 = 2.0 * trace.eta_used / fnorm
 
     u, trace.stagnated = _level_loop(
@@ -958,25 +952,22 @@ def hierarchical_p1(
 ) -> tuple[VectorField, HierarchyTrace]:
     """Fixed-lambda hierarchy with exponent p = 1: each level contracts the
     residual by roughly gamma/lambda when lambda exceeds the constant gamma
-    of the bounded-solution bound."""
-    if cfg is None:
-        cfg = HierarchyConfig()
+    of the bounded-solution bound.  lambda = cfg.lam, or when that is None
+    4 gamma with gamma = sup|u_H| / ||f||_2 for the Helmholtz solution u_H
+    of f, which needs a fully periodic grid (ValueError otherwise)."""
+    cfg = cfg or HierarchyConfig()
     grid = f.grid
     fnorm = lp_norm(f, 2)
     trace = HierarchyTrace(f_norm=fnorm, eta_used=None)
     if fnorm == 0.0:
         return VectorField.zeros(grid), trace
 
-    lam, gamma = cfg.lam, cfg.gamma_assumed
+    lam = cfg.lam
     if lam is None:
-        if gamma is None:
-            if not all(grid.periodic):
-                raise ValueError(
-                    "gamma_assumed is required on non-periodic grids (no "
-                    "Helmholtz probe available)"
-                )
-            gamma = sup_norm_vector(helmholtz_solve(f, strict_mean=False)) / fnorm
-        lam = 4.0 * gamma
+        if not all(grid.periodic):
+            raise ValueError("lam is required on non-periodic grids (no "
+                             "Helmholtz probe of gamma)")
+        lam = 4.0 * (sup_norm_vector(helmholtz_solve(f, strict_mean=False)) / fnorm)
 
     u, trace.lambda_too_small = _level_loop(
         f, cfg, trace, 1, lambda j: lam, lambda q: q >= 1.0

@@ -140,6 +140,18 @@ def fista_tv_and_gap(farr, h, periodic, w, nu):
     return tv, nu * (tv + float((g * w).sum()) * vol)
 
 
+def phi_p_tv(f, p):
+    """|phi_p(f)|_TV = p ||f||_2^(p - 2) TV(f) of a ScalarField f, the
+    isotropic TV of its forward differences; 0 for f = 0."""
+    h, periodic = f.grid.h, f.grid.periodic
+    vol = math.prod(h)
+    norm = math.sqrt(float((f.values * f.values).sum()) * vol)
+    if norm == 0.0:
+        return 0.0
+    tv = float(_ref_magnitude(_ref_gradient(f.values, h, periodic)).sum()) * vol
+    return p * norm ** (p - 2) * tv
+
+
 def weak_duality_bound(farr, rarr, h, periodic, lam, p):
     """Lower bound on min_u ||u||_inf + lam ||f - div u||_2^p from the dual
     point phi built on the residual r, evaluated on phi itself.

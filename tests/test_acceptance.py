@@ -305,7 +305,7 @@ def test_criterion7_hierarchical_decay():
         f = mean_zero(random_field(750 + seed, 16, law="gaussian",
                                    periodic=True))
         gamma = sup_norm_vector(helmholtz_solve(f)) / lp_norm(f, 2)
-        cfg = HierarchyConfig(gamma_assumed=gamma, lam=4.0 * gamma)
+        cfg = HierarchyConfig(lam=4.0 * gamma)
         u, trace = hierarchical_p1(f, cfg)
         ratios = [rec.ratio for rec in trace.levels]
         worst_p1 = max(worst_p1, max(ratios))

@@ -189,23 +189,45 @@ def test_norms_rejects_wrong_payload_length_before_reading_it(
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     data = tmp_path / "f.bdiv"
     run(["gen", "--kind", "random", "--n", "12", "--seed", "2", "--periodic",
-         "--out", str(data)])
-    # absurdly small gamma makes every level fail to contract
-    code = run([
-        "solve", "--method", "hier-p1", "--input", str(data),
-        "--out-prefix", str(tmp_path / "h"), "--gamma", "1e-5",
-        "--levels", "5",
-    ])
-    assert code == cli.EXIT_NOCONV
+         "--mean-zero", "--out", str(data)])
+    solve = ["solve", "--method", "hier-p1", "--input", str(data),
+             "--out-prefix", str(tmp_path / "h"), "--levels", "5"]
+    # an absurdly small lambda makes every level fail to contract
+    assert run(solve + ["--lambda", "4e-5"]) == cli.EXIT_NOCONV
+    # with no --lambda the hierarchy runs at 4 gamma, gamma from Helmholtz
+    rep_path = tmp_path / "rep.json"
+    assert run(solve + ["--report", str(rep_path)]) == cli.EXIT_OK
+    f = fields.read_field(data)
+    u = variational.helmholtz_solve(f, strict_mean=False)
+    lam = 4.0 * (norms.sup_norm_vector(u) / norms.lp_norm(f, 2))
+    levels = json.loads(rep_path.read_text())["trace"]["levels"]
+    assert levels and all(rec["lam"] == lam for rec in levels)
 
 
-def test_hier_p1_on_a_box_needs_no_gamma(tmp_path, capsys):
-    # the CLI always passes --lambda, so no Helmholtz probe of gamma runs
+def test_hier_p1_on_a_box_needs_no_gamma(tmp_path, monkeypatch, capsys):
+    # with --lambda given no Helmholtz probe of gamma runs
+    def boom(*args, **kwargs):
+        raise AssertionError("Helmholtz probe run with --lambda given")
+
     data = tmp_path / "f.bdiv"
     run(["gen", "--kind", "random", "--n", "12", "--seed", "11", "--out", str(data)])
+    monkeypatch.setattr(variational, "helmholtz_solve", boom)
     code = run(["solve", "--method", "hier-p1", "--input", str(data),
-                "--out-prefix", str(tmp_path / "h")])
+                "--out-prefix", str(tmp_path / "h"), "--lambda", "1.0"])
     assert code == cli.EXIT_OK
+
+
+def test_solve_without_lambda_where_none_is_estimated(tmp_path, capsys):
+    # hier-p1 on a box has no Helmholtz probe, and minimize no estimate
+    data = tmp_path / "f.bdiv"
+    run(["gen", "--kind", "random", "--n", "12", "--seed", "11", "--out", str(data)])
+    for method, message in (("hier-p1", "lam is required"),
+                            ("minimize", "minimize needs --lambda")):
+        capsys.readouterr()
+        code = run(["solve", "--method", method, "--input", str(data),
+                    "--out-prefix", str(tmp_path / "s")])
+        assert code == cli.EXIT_INVARIANT
+        assert message in capsys.readouterr().err
 
 
 def test_norms_command_matches_library(tmp_path, capsys):

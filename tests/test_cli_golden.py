@@ -11,7 +11,8 @@ step into its stencils, and those of hier-p2, minimize-p2 and twostep when
 the root search began to stop on a cheap probe that the weak-duality bound
 certifies, and again when a cheap p = 2 solve began to stop once its gap
 decides the sign of its defect); a refactor of the CLI must leave them
-unchanged."""
+unchanged.  The hier-p1 case passes --lambda 1.0, the value the CLI
+passed by default when the pins were taken."""
 
 import hashlib
 import json
@@ -41,7 +42,7 @@ CASES = {
     "minimize-p2": ("torus12", ["--method", "minimize", "--p", "2",
                                 "--lambda", "3.0"]),
     "hier-p2": ("torus12", ["--method", "hier-p2"]),
-    "hier-p1": ("torus12", ["--method", "hier-p1"]),
+    "hier-p1": ("torus12", ["--method", "hier-p1", "--lambda", "1.0"]),
 }
 
 

@@ -6,7 +6,6 @@ import pytest
 from bdiv.examples import random_field
 from bdiv.explicit import (
     decompose_weak_l2,
-    line_energy,
     split_disjoint_2d,
     split_inductive_nd,
     split_onestep_2d,
@@ -39,30 +38,6 @@ def check_parts_sum(result, f, rel=1e-12):
     total = sum(p.values for p in result.parts)
     scale = max(np.abs(f.values).max(), 1e-30)
     assert np.abs(total - f.values).max() <= rel * scale
-
-
-class TestLineEnergy:
-    def test_zero(self):
-        g = Grid((5, 5), -1.0, 1.0)
-        assert line_energy(ScalarField.zeros(g), 0, 2) == 0.0
-
-    def test_constant_line_length(self):
-        R = 1.5
-        g = Grid((10, 10), -R, R)
-        f = ScalarField(g, np.ones(g.n))
-        assert line_energy(f, 0, 3) == pytest.approx(2 * R)
-        assert line_energy(f, 1, 7) == pytest.approx(2 * R)
-
-    def test_matches_naive_loop(self):
-        f = box_field(seed=5)
-        j = 2
-        expect = sum(abs(f.values[i, j]) for i in range(6)) * f.grid.h[0]
-        assert line_energy(f, 0, j) == pytest.approx(expect, rel=1e-14)
-
-    def test_index_range(self):
-        f = box_field()
-        with pytest.raises(ValueError):
-            line_energy(f, 0, 6)
 
 
 class TestOneStep2d:

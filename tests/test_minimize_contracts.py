@@ -18,10 +18,9 @@ from bdiv.variational import (
     SATURATION_TOL,
     VariationalConfig,
     _DualState,
-    _phi_p_tv,
     minimize_flambda,
 )
-from oracles import weak_duality_bound
+from oracles import phi_p_tv, weak_duality_bound
 
 CELLS = {1: (4, 24), 2: (3, 9), 3: (3, 5)}  # per-axis cell counts by d
 
@@ -46,7 +45,7 @@ def grids(draw) -> Grid:
 )
 def test_minimize_contracts_and_probe_records(grid, seed, p, k):
     f = ScalarField(grid, np.random.default_rng(seed).standard_normal(grid.n))
-    phi_f = _phi_p_tv(f, p)
+    phi_f = phi_p_tv(f, p)
     lam = k / phi_f  # k is lam in units of the trivial threshold
     cfg = VariationalConfig(lam=lam, p=p, max_iters=4000, inner_iters=1000)
     u, r, rep = minimize_flambda(f, cfg)
@@ -86,7 +85,7 @@ def test_sign_decided_probes_keep_the_sign_of_a_fresh_solve(grid, seed, k):
     solve's defect lies outside the band too: the probe could not have
     settled the search."""
     f = ScalarField(grid, np.random.default_rng(seed).standard_normal(grid.n))
-    cfg = VariationalConfig(lam=k / _phi_p_tv(f, 2), max_iters=4000, inner_iters=1000)
+    cfg = VariationalConfig(lam=k / phi_p_tv(f, 2), max_iters=4000, inner_iters=1000)
     _, _, rep = minimize_flambda(f, cfg)
     fnorm = lp_norm(f, 2)
     target = 1.0 / (2.0 * cfg.lam * fnorm)  # the certificate TV(r) on f / fnorm
@@ -156,7 +155,7 @@ def _check_contracts(f, cfg, u, r, rep):
     assert objective <= bound * (1 + 1e-12)
     saturated = p == 1 and lp_norm(r, 2) <= SATURATION_TOL * fnorm
     if rep.converged:
-        assert _phi_p_tv(r, p) <= (1.0 + cfg.tol_residual) / lam or saturated
+        assert phi_p_tv(r, p) <= (1.0 + cfg.tol_residual) / lam or saturated
     grid = f.grid
     lower = -np.inf if saturated else weak_duality_bound(
         f.values, r.values, grid.h, grid.periodic, lam, p)
@@ -176,7 +175,7 @@ def _check_contracts(f, cfg, u, r, rep):
 def test_coarse_start_keeps_the_contracts(case):
     name, p, k = case
     f = _coarse_case(name)
-    cfg = VariationalConfig(lam=k / _phi_p_tv(f, p), p=p, max_iters=20_000,
+    cfg = VariationalConfig(lam=k / phi_p_tv(f, p), p=p, max_iters=20_000,
                             inner_iters=2000)
     u, r, rep = minimize_flambda(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
@@ -195,7 +194,7 @@ def test_coarse_budget_is_shared(p):
     max_iters times the caller's cells, and the caller's grid runs the cold
     search on what the coarse levels left."""
     f = _coarse_case("box2d")
-    cfg = VariationalConfig(lam=8.0 / _phi_p_tv(f, p), p=p, max_iters=120)
+    cfg = VariationalConfig(lam=8.0 / phi_p_tv(f, p), p=p, max_iters=120)
     u, r, rep = minimize_flambda(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
     assert rep.coarse and rep.probes[0].nu == 0.25
@@ -205,7 +204,7 @@ def test_coarse_budget_is_shared(p):
 def test_coarse_start_skipped_on_an_odd_axis():
     f = ScalarField(Grid((47, 46), -1.0, 1.0, True),
                     np.random.default_rng(1).standard_normal((47, 46)))
-    cfg = VariationalConfig(lam=8.0 / _phi_p_tv(f, 2), max_iters=20_000,
+    cfg = VariationalConfig(lam=8.0 / phi_p_tv(f, 2), max_iters=20_000,
                             inner_iters=2000)
     u, r, rep = minimize_flambda(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
@@ -220,7 +219,7 @@ def test_checkerboard_average_zero_takes_the_cold_search(p):
     grid = Grid((46, 46), -1.0, 1.0, True)
     i, j = np.indices(grid.n)
     f = ScalarField(grid, np.where((i + j) % 2 == 0, 1.0, -1.0))
-    cfg = VariationalConfig(lam=8.0 / _phi_p_tv(f, p), p=p, max_iters=20_000,
+    cfg = VariationalConfig(lam=8.0 / phi_p_tv(f, p), p=p, max_iters=20_000,
                             inner_iters=2000)
     with np.errstate(divide="raise", invalid="raise"):
         u, r, rep = minimize_flambda(f, cfg)
@@ -235,7 +234,7 @@ def _cut_after_cheap_probe_in_band(shape, inner_iters, extra):
     plus extra, after the coarse levels' share."""
     f = ScalarField(Grid(shape, -1.0, 1.0, True),
                     np.random.default_rng(0).standard_normal(shape))
-    cfg = VariationalConfig(lam=30.0 / _phi_p_tv(f, 2), max_iters=20_000,
+    cfg = VariationalConfig(lam=30.0 / phi_p_tv(f, 2), max_iters=20_000,
                             inner_iters=inner_iters)
     _, _, full = minimize_flambda(f, cfg)
     band = 0.5 * cfg.tol_residual

@@ -7,7 +7,6 @@ from bdiv.fields import Grid, ScalarField
 from bdiv.norms import (
     NormKind,
     component_sup_norms,
-    frechet_derivative,
     lorentz_norm,
     lp_norm,
     morrey_norm,
@@ -225,40 +224,6 @@ class TestTV:
             for t in range(0, int(vals.max()))
         )
         assert total == pytest.approx(parts, rel=1e-12)
-
-
-class TestFrechetDerivative:
-    def test_p2_doubles(self):
-        f = rand_field(seed=5)
-        out = frechet_derivative(f, 2)
-        assert np.array_equal(out.values, 2.0 * f.values)
-
-    def test_unit_norm_p3(self):
-        f = rand_field(seed=6)
-        f = ScalarField(f.grid, f.values / lp_norm(f, 2))
-        out = frechet_derivative(f, 3)
-        assert np.allclose(out.values, 3.0 * f.values, rtol=1e-12)
-
-    def test_zero_rejected(self):
-        g = Grid((4, 4), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            frechet_derivative(ScalarField.zeros(g), 2)
-
-    def test_directional_finite_difference(self):
-        from bdiv.fields import inner
-
-        v = rand_field(seed=7)
-        w = rand_field(seed=8)
-        for p in (2.0, 3.0):
-            phi = frechet_derivative(v, p)
-            pair = inner(phi, w)
-            errs = []
-            for eps in (1e-4, 1e-5):
-                vp = ScalarField(v.grid, v.values + eps * w.values)
-                quot = (lp_norm(vp, 2) ** p - lp_norm(v, 2) ** p) / eps
-                errs.append(abs(quot - pair))
-            assert errs[0] <= 10 * abs(pair) * 1e-3
-            assert errs[1] <= errs[0]  # first-order convergence
 
 
 class TestVectorNorms:

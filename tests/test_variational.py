@@ -16,7 +16,6 @@ from bdiv.fields import (
     discrete_divergence,
     inner,
     mean_zero,
-    sample_function,
 )
 from bdiv.norms import lp_norm, sup_norm_vector, tv_norm
 from bdiv.variational import (
@@ -49,19 +48,16 @@ class TestHelmholtz:
 
     def test_single_mode(self):
         g = Grid((32, 32), -1.0, 1.0, periodic=True)
-        f = sample_function(g, lambda x, y: np.sin(np.pi * x))
+        x, _ = g.meshgrid()
+        f = ScalarField(g, np.sin(np.pi * x))
         u = helmholtz_solve(f)
         div = discrete_divergence(u)
         assert np.abs(div.values - f.values).max() <= 1e-12
         assert np.abs(u.components[1].values).max() <= 1e-12
         # the first component is a cosine profile up to the symbol factor
         continuum = helmholtz_solve(f, mode="continuum")
-        expect = sample_function(
-            g, lambda x, y: -np.cos(np.pi * x) / np.pi
-        )
-        assert np.abs(
-            continuum.components[0].values - expect.values
-        ).max() <= 1e-10
+        expect = -np.cos(np.pi * x) / np.pi
+        assert np.abs(continuum.components[0].values - expect).max() <= 1e-10
 
     def test_random_round_trip(self):
         for seed in range(3):
@@ -656,16 +652,22 @@ class TestHierarchicalP2:
         for rec in trace.levels:
             assert 2.0 * rec.lam * rec.r_tv <= 1.0 + 0.011
 
-    def test_lambda1_skips_the_eta_estimate(self, monkeypatch):
+    def test_lam_skips_the_eta_estimate(self, monkeypatch):
         def boom(f):
-            raise AssertionError("estimate_eta called with lambda1 given")
+            raise AssertionError("estimate_eta called with lam given")
 
         monkeypatch.setattr("bdiv.variational.estimate_eta", boom)
         f = torus_field(n=12, seed=12)
-        for eta in (None, 0.5):
-            u, trace = hierarchical_p2(f, HierarchyConfig(eta=eta, lambda1=2.0, max_levels=3))
-            assert trace.eta_used == eta
-            assert [rec.lam for rec in trace.levels] == [2.0, 4.0, 8.0][:len(trace.levels)]
+        u, trace = hierarchical_p2(f, HierarchyConfig(lam=2.0, max_levels=3))
+        assert trace.eta_used is None
+        assert [rec.lam for rec in trace.levels] == [2.0, 4.0, 8.0][:len(trace.levels)]
+
+    def test_no_lam_doubles_twice_the_eta_estimate(self):
+        f = torus_field(n=12, seed=12)
+        u, trace = hierarchical_p2(f, HierarchyConfig(max_levels=2))
+        lam1 = 2.0 * trace.eta_used / lp_norm(f, 2)
+        assert trace.eta_used == estimate_eta(f)
+        assert [rec.lam for rec in trace.levels] == [lam1, 2.0 * lam1][:len(trace.levels)]
 
     def test_eta_estimate_positive(self):
         f = torus_field(n=12, seed=13)
@@ -684,7 +686,7 @@ class TestHierarchicalP2:
         alpha = 32.0 * np.pi
         f = ball_field(alpha, 1.0, 64)
         u, trace = hierarchical_p2(
-            f, HierarchyConfig(lambda1=2.0, max_levels=3, stop_residual=1e-9)
+            f, HierarchyConfig(lam=2.0, max_levels=3, stop_residual=1e-9)
         )
         expect1 = (alpha - 1.0 / (8.0 * np.pi)) / 2.0
         assert trace.levels[0].u_sup == pytest.approx(expect1, rel=0.05)
@@ -701,13 +703,15 @@ class TestHierarchicalP1:
     def test_contraction_at_safe_lambda(self):
         f = torus_field(n=16, seed=14)
         u, trace = hierarchical_p1(f, HierarchyConfig())
+        gamma = sup_norm_vector(helmholtz_solve(f, strict_mean=False)) / lp_norm(f, 2)
+        assert all(rec.lam == 4.0 * gamma for rec in trace.levels)
         assert not trace.lambda_too_small
         assert all(rec.ratio < 1.0 for rec in trace.levels)
         assert trace.levels[-1].r_norm <= 1e-3 * lp_norm(f, 2)
 
     def test_ball_residuals_strictly_decrease(self):
         f = ball_field(4.0, 1.0, 32)
-        cfg = HierarchyConfig(gamma_assumed=1.0, max_levels=6)
+        cfg = HierarchyConfig(lam=4.0, max_levels=6)
         u, trace = hierarchical_p1(f, cfg)
         norms_seq = [lp_norm(f, 2)] + [rec.r_norm for rec in trace.levels]
         assert all(b < a for a, b in zip(norms_seq, norms_seq[1:]))
@@ -719,7 +723,7 @@ class TestHierarchicalP1:
         # whole chain stays under the same per-level rate
         gamma = sup_norm_vector(helmholtz_solve(f)) / fn
         for lam in (2.0 * gamma, 1.5 * gamma, 1.2 * gamma):
-            cfg = HierarchyConfig(gamma_assumed=gamma, lam=lam, max_levels=8)
+            cfg = HierarchyConfig(lam=lam, max_levels=8)
             u, trace = hierarchical_p1(f, cfg)
             first = trace.levels[0].ratio
             if 0.2 <= first <= 0.58:
@@ -730,13 +734,13 @@ class TestHierarchicalP1:
 
     def test_tiny_lambda_flags(self):
         f = torus_field(n=12, seed=16)
-        cfg = HierarchyConfig(gamma_assumed=1e-4, max_levels=8)
+        cfg = HierarchyConfig(lam=4e-4, max_levels=8)
         u, trace = hierarchical_p1(f, cfg)
         assert trace.lambda_too_small
 
     def test_nonperiodic_needs_gamma(self):
         f = random_field(17, 12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lam is required"):
             hierarchical_p1(f, HierarchyConfig())
 
     def test_lam_given_runs_on_a_box_without_gamma(self, monkeypatch):

@@ -17,6 +17,10 @@ that one too, labelled "parent") it records:
   bdiv.TABLE1_SETTINGS of this checkout, passed to both) on the Nirenberg
   field at N = 50, 100 and 200, N = 200 in the first TWOSTEP_RUNS rounds
   only;
+- a hierarchy whole-run row: wall time, level count and cell-iterations
+  (summed over every minimize_flambda call of the run, estimate_eta's
+  probe included) of the default hierarchical_p2 and hierarchical_p1 on
+  the mean-zero seed-700 Gaussian torus field at 32^2 and 64^2;
 - three layer rows: ns per cell of one bound divergence and of one bound
   gradient (the fields._divergence_calls and _gradient_calls lists the
   FISTA iteration reruns, in unit spacing) on a torus and on a box at
@@ -76,6 +80,7 @@ MORREY_SIZES = (32, 48, 64, 128, 256)
 MORREY_RUNS = {256: 1}  # rounds that time these sizes; others: RUNS
 TWOSTEP_SIZES = (50, 100, 200)
 TWOSTEP_RUNS = {200: 3}  # rounds that time these sizes; others: RUNS
+HIERARCHY_SIZES = (32, 64)
 
 # per size, the median over repeats of one timed loop of bound divergence
 # (gradient) calls, each writing every cell of a C-ordered buffer; uses only
@@ -180,6 +185,37 @@ print(json.dumps(out))
 """
 
 
+# one timed default run of each hierarchy per size; cell-iterations are
+# counted by a wrapper around variational.minimize_flambda, which both
+# hierarchies look up at call time; argv: sizes
+HIERARCHY_ROW = """
+import json, sys, time
+from bdiv import variational
+from bdiv.examples import random_field
+from bdiv.fields import mean_zero
+
+solve, cells = variational.minimize_flambda, []
+
+def counted(f, cfg):
+    u, r, rep = solve(f, cfg)
+    cells.append(rep.cell_iterations)
+    return u, r, rep
+
+variational.minimize_flambda = counted
+out = {}
+for n in map(int, sys.argv[1].split(",")):
+    f = mean_zero(random_field(700, n, periodic=True))
+    for name in ("hierarchical_p2", "hierarchical_p1"):
+        cells.clear()
+        t0 = time.perf_counter()
+        _, trace = getattr(variational, name)(f)
+        wall = time.perf_counter() - t0
+        out[f"{name} {n}x{n}"] = {"wall_s": wall, "levels": len(trace.levels),
+                                  "cell_iterations": sum(cells)}
+print(json.dumps(out))
+"""
+
+
 def child_env(tree: Path | None = None) -> dict:
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     if tree is not None:
@@ -231,12 +267,16 @@ def twostep_row(tree: Path, seed: int) -> dict:
     return layer(tree, TWOSTEP_ROW, ",".join(map(str, sizes)), json.dumps(TABLE1_SETTINGS))
 
 
-def twostep_summary(runs: list[dict]) -> dict:
-    """Wall-time summary of one size's runs; the counts, the same in every
-    run, once."""
-    counts = {k: runs[0][k] for k in ("iterations", "cell_iterations", "converged")}
+def hierarchy_row(tree: Path) -> dict:
+    return layer(tree, HIERARCHY_ROW, ",".join(map(str, HIERARCHY_SIZES)))
+
+
+def row_summary(runs: list[dict]) -> dict:
+    """Wall-time summary of one whole-run row's runs; the counts, the same
+    in every run, once."""
+    counts = {k: v for k, v in runs[0].items() if k != "wall_s"}
     if any({k: r[k] for k in counts} != counts for r in runs):
-        raise SystemExit(f"two_step counts differ between runs: {runs}")
+        raise SystemExit(f"whole-run counts differ between runs: {runs}")
     return dict(wall_s=summary([r["wall_s"] for r in runs]), **counts)
 
 
@@ -316,6 +356,7 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
     stencil = {label: {} for label in trees}
     morrey = {label: {n: [] for n in MORREY_SIZES} for label in trees}
     twostep = {label: {n: [] for n in TWOSTEP_SIZES} for label in trees}
+    hierarchy = {label: {} for label in trees}
     order = list(trees)
     for seed in range(1, RUNS + 1):
         labels = order if seed % 2 else order[::-1]
@@ -334,6 +375,8 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
                 morrey[label][int(n)].append(ms)
             for n, row in twostep_row(trees[label], seed).items():
                 twostep[label][int(n)].append(row)
+            for key, row in hierarchy_row(trees[label]).items():
+                hierarchy[label].setdefault(key, []).append(row)
 
     columns = {}
     for label, tree in trees.items():
@@ -363,8 +406,11 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
             "workloads": workloads,
             "runs": {
                 "variational.two_step_nirenberg": {
-                    f"{n}x{n}": twostep_summary(twostep[label][n])
+                    f"{n}x{n}": row_summary(twostep[label][n])
                     for n in TWOSTEP_SIZES
+                },
+                "variational.hierarchy_torus700": {
+                    key: row_summary(runs) for key, runs in hierarchy[label].items()
                 },
             },
             "layers": {
@@ -396,6 +442,7 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
             "morrey_runs": {str(n): MORREY_RUNS.get(n, RUNS) for n in MORREY_SIZES},
             "twostep_runs": {str(n): TWOSTEP_RUNS.get(n, RUNS) for n in TWOSTEP_SIZES},
             "twostep_settings": TABLE1_SETTINGS,
+            "hierarchy_sizes": list(HIERARCHY_SIZES),
         },
         "columns": columns,
     }

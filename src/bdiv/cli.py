@@ -1,14 +1,14 @@
 """Command-line surface: generators, solvers, norms, the grid benchmark,
 and the invariant verification suites.
 
-Exit codes: 0 success, 2 usage errors (argparse), 3 solver
-non-convergence, 4 invariant violation or an input the library rejects
-(ValueError or OSError, e.g. `solve --method minimize` with no
---lambda).  Reports are JSON on stdout (or --report FILE), tables are
-CSV, fields travel in the binary BDIV1 format.  Identical commands on
-identical inputs produce byte-identical field files and reports up to
-the wall-time, phase-time and digest-of-output entries of the run
-manifest.
+Exit codes: 0 success, 2 usage errors (argparse, or a `solve` option
+its method does not read), 3 solver non-convergence, 4 invariant
+violation or an input the library rejects (ValueError or OSError, e.g.
+`solve --method minimize` with no --lambda).  Reports are JSON on stdout
+(or --report FILE), tables are CSV, fields travel in the binary BDIV1
+format.  Identical commands on identical inputs produce byte-identical
+field files and reports up to the wall-time, phase-time and
+digest-of-output entries of the run manifest.
 """
 
 from __future__ import annotations
@@ -186,59 +186,64 @@ def _split(result: explicit.SplitResult, **kw) -> Solution:
     return Solution(result.u, files=files, certificates=result.certificates, **kw)
 
 
-def _solve_weakl2(f, args) -> Solution:
-    result, trace = explicit.decompose_weak_l2(f, args.tau, max_iter=args.max_iter)
+def _solve_weakl2(f, tau=2.0, max_iter=64) -> Solution:
+    result, trace = explicit.decompose_weak_l2(f, tau, max_iter=max_iter)
     strips = dict(measures=trace.measures(), incomplete=trace.incomplete, tau=trace.tau)
     return _split(result, report={"strip_trace": strips},
                   converged=not trace.incomplete)
 
 
-def _solve_twostep(f, args) -> Solution:
+def _solve_twostep(f) -> Solution:
     u, rep = variational.two_step(f)
     ratio = norms.sup_norm_vector(u) / norms.lp_norm(f, 2)
     return Solution(u, report={"solver": asdict(rep), "ratio_sup_to_l2": ratio},
                     converged=rep.converged)
 
 
-def _solve_minimize(f, args) -> Solution:
-    if args.lam is None:
+def _solve_minimize(f, lam=None, p=2) -> Solution:
+    if lam is None:
         raise ValueError("minimize needs --lambda")
-    cfg = variational.VariationalConfig(lam=args.lam, p=args.p)
+    cfg = variational.VariationalConfig(lam=lam, p=p)
     u, r, rep = variational.minimize_flambda(f, cfg)
     return Solution(u, report={"solver": asdict(rep)}, files={"r": r},
                     residual=r, converged=rep.converged, minimized=cfg)
 
 
-def _solve_hierarchy(run, f, args) -> Solution:
-    u, trace = run(f, variational.HierarchyConfig(lam=args.lam, max_levels=args.levels))
+def _solve_hierarchy(run, f, lam=None, levels=20) -> Solution:
+    u, trace = run(f, variational.HierarchyConfig(lam=lam, max_levels=levels))
     report = {"trace": dict(asdict(trace), eta_measured=trace.eta_measured)}
-    levels = report["trace"]["levels"]
-    r_last = levels[-1]["r_norm"] if levels else trace.f_norm
-    report["residual_rel"] = r_last / trace.f_norm if levels else 0.0
+    records = report["trace"]["levels"]
+    r_last = records[-1]["r_norm"] if records else trace.f_norm
+    report["residual_rel"] = r_last / trace.f_norm if records else 0.0
     columns = [c.name for c in dataclasses.fields(variational.LevelRecord)]
-    table = (columns, ([repr(v) for v in rec.values()] for rec in levels))
+    table = (columns, ([repr(v) for v in rec.values()] for rec in records))
     return Solution(u, report=report, files={"trace": table}, residual=r_last,
                     converged=not (trace.stagnated or trace.lambda_too_small))
 
 
-def _solve_helmholtz(f, args) -> Solution:
-    u = variational.helmholtz_solve(f, mode=args.mode, strict_mean=False)
-    return Solution(u, report={"mode": args.mode})
+def _solve_helmholtz(f, mode="discrete") -> Solution:
+    u = variational.helmholtz_solve(f, mode=mode, strict_mean=False)
+    return Solution(u, report={"mode": mode})
 
 
-# method name -> (f, args) -> Solution.  Entries look the solvers up when
-# called, so a rebinding of the modules' names also reaches the CLI.
+# method name -> (the options it reads, (f, **options) -> Solution).  Entries
+# look the solvers up when called, so a rebinding of the modules' names also
+# reaches the CLI.
 METHODS = {
-    "onestep2d": lambda f, a: _split(explicit.split_onestep_2d(f)),
-    "disjoint2d": lambda f, a: _split(explicit.split_disjoint_2d(f)),
-    "inductive": lambda f, a: _split(explicit.split_inductive_nd(f)),
-    "weakl2": _solve_weakl2,
-    "helmholtz": _solve_helmholtz,
-    "twostep": _solve_twostep,
-    "minimize": _solve_minimize,
-    "hier-p2": lambda f, a: _solve_hierarchy(variational.hierarchical_p2, f, a),
-    "hier-p1": lambda f, a: _solve_hierarchy(variational.hierarchical_p1, f, a),
+    "onestep2d": ((), lambda f: _split(explicit.split_onestep_2d(f))),
+    "disjoint2d": ((), lambda f: _split(explicit.split_disjoint_2d(f))),
+    "inductive": ((), lambda f: _split(explicit.split_inductive_nd(f))),
+    "weakl2": (("tau", "max_iter"), _solve_weakl2),
+    "helmholtz": (("mode",), _solve_helmholtz),
+    "twostep": ((), _solve_twostep),
+    "minimize": (("lam", "p"), _solve_minimize),
+    "hier-p2": (("lam", "levels"),
+                lambda f, **kw: _solve_hierarchy(variational.hierarchical_p2, f, **kw)),
+    "hier-p1": (("lam", "levels"),
+                lambda f, **kw: _solve_hierarchy(variational.hierarchical_p1, f, **kw)),
 }
+METHOD_OPTIONS = {"tau": "--tau", "max_iter": "--max-iter", "lam": "--lambda", "p": "--p",
+                  "levels": "--levels", "mode": "--mode"}
 
 
 def _verification_block(f, sol: Solution) -> dict:
@@ -306,12 +311,19 @@ def _verification_block(f, sol: Solution) -> dict:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
+    reads, run = METHODS[args.method]
+    given = {k: v for k, v in vars(args).items() if k in METHOD_OPTIONS}
+    unread = [METHOD_OPTIONS[k] for k in given if k not in reads]
+    if unread:
+        print(f"solve --method {args.method} does not read {', '.join(unread)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     manifest = RunManifest.of(args)
     with manifest.phase("read"):
         f = fields.read_field(args.input)
         manifest.digest(args.input, "in")
     with manifest.phase("solve"):
-        sol = METHODS[args.method](f, args)
+        sol = run(f, **given)
     with manifest.phase("write"):
         comps = {f"u{i}": c for i, c in enumerate(sol.u.components, start=1)}
         for suffix, content in {**comps, **sol.files}.items():
@@ -476,12 +488,12 @@ def _check_variational(seed: int) -> list[tuple[str, bool, str]]:
     ok = _verification_block(f, Solution(variational.helmholtz_solve(f)))["ok"]
     out = [("helmholtz_roundtrip", ok, "")]
     tvf = norms.tv_norm(f, "isotropic")
-    sol = _solve_minimize(f, argparse.Namespace(lam=0.25 / tvf, p=2))
+    sol = _solve_minimize(f, 0.25 / tvf)
     ok = _verification_block(f, sol)["ok"] and sol.report["solver"]["trivial"]
     out.append(("trivial_below_threshold",
                 ok and float(np.abs(sol.u.as_array()).max()) == 0.0, ""))
     lam = 20.0 / (2.0 * tvf)
-    sol = _solve_minimize(f, argparse.Namespace(lam=lam, p=2))
+    sol = _solve_minimize(f, lam)
     block = _verification_block(f, sol)
     out.append(("residual_tv_certificate", sol.converged and block["ok"],
                 f"2*lam*TV(r)={lam * block['phi_tv']:.4f}"))
@@ -575,14 +587,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", required=True, choices=list(METHODS))
     s.add_argument("--input", required=True)
     s.add_argument("--out-prefix", required=True)
-    s.add_argument("--tau", type=float, default=2.0)
-    s.add_argument("--max-iter", type=int, default=64)
-    s.add_argument("--lambda", dest="lam", type=float, default=None,
+    # the method options, defaults in the runners; one a method does not read exits 2
+    s.add_argument("--tau", type=float, default=argparse.SUPPRESS)
+    s.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
+    s.add_argument("--lambda", dest="lam", type=float, default=argparse.SUPPRESS,
                    help="lambda of minimize (required) and of a hierarchy's "
                    "level 1 (estimated when absent)")
-    s.add_argument("--p", type=int, default=2, choices=[1, 2])
-    s.add_argument("--levels", type=int, default=20)
-    s.add_argument("--mode", default="discrete", choices=["discrete", "continuum"])
+    s.add_argument("--p", type=int, default=argparse.SUPPRESS, choices=[1, 2])
+    s.add_argument("--levels", type=int, default=argparse.SUPPRESS)
+    s.add_argument("--mode", default=argparse.SUPPRESS, choices=["discrete", "continuum"])
     s.add_argument("--report", default=None)
     s.set_defaults(func=cmd_solve)
 

@@ -72,6 +72,8 @@ class Grid:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "periodic", periodic)
+        if not all(0.0 < h < math.inf for h in self.h):  # also NaN or infinite lo, hi
+            raise ValueError(f"need finite bounds and spacings > 0, got lo={lo} hi={hi}")
 
     @property
     def d(self) -> int:
@@ -346,7 +348,8 @@ def read_field(path) -> ScalarField:
         lo = struct.unpack_from(f"<{d}d", meta, d * 4)
         hi = struct.unpack_from(f"<{d}d", meta, d * 12)
         periodic = tuple(bool(meta[-1] >> a & 1) for a in range(d))
-        count = math.prod(n)
+        grid = Grid(n, lo, hi, periodic)
+        count = grid.size
         off = len(head) + len(meta)
         if size != off + 8 * count:
             raise ValueError(
@@ -354,5 +357,4 @@ def read_field(path) -> ScalarField:
             )
         data = fh.read(8 * count)
     values = np.frombuffer(data, dtype="<f8", count=count)
-    grid = Grid(n, lo, hi, periodic)
     return ScalarField(grid, values.astype(np.float64).reshape(n))

@@ -156,21 +156,22 @@ class Probe:
 class SolverReport:
     """Outcome of one minimization: certificates and convergence record.
 
-    lower_bound is the weak-duality lower bound on the minimum computed
-    from the returned r (contract; -inf for a saturated p = 1 residual),
-    so objective - lower_bound bounds how far the result is from optimal.
-    converged means the search settled inside the certificate band: at
-    p = 2 on a certified record, and the returned (u, r) are certified,
-    (objective - lower_bound) / objective <= CHEAP_GAP; at p = 1, whose
-    bound is first order in the certificate defect, on a certified record,
-    on a tight solve that ended at or below CHEAP_GAP, or at a saturated
-    residual.  gap_met means the inner solve behind the returned u reached
-    the duality-gap tolerance tol_objective rather than stopping at its
-    iteration cap, on the sign of its defect or only at the cheap gap; a
-    search that stops on a certified cheap solve leaves it false.  probes
-    holds one record per inner solve of the root search on the caller's
-    grid, in the order they ran, and coarse those of the coarse levels
-    (coarsest first).  iterations counts the inner iterations on the
+    objective, u_sup, r_norm, r_tv = TV(r), phi_tv and lower_bound are the
+    contract of the returned (u, r).  lower_bound, the weak-duality lower
+    bound on the minimum (-inf for a saturated p = 1 residual), is computed
+    from the returned r, so objective - lower_bound bounds how far the
+    result is from optimal.  converged means the search settled inside the
+    certificate band: at p = 2 on a certified record, and the returned (u,
+    r) are certified, (objective - lower_bound) / objective <= CHEAP_GAP; at
+    p = 1, whose bound is first order in the certificate defect, on a
+    certified record, on a tight solve that ended at or below CHEAP_GAP, or
+    at a saturated residual.  gap_met means the inner solve behind the
+    returned u reached the duality-gap tolerance tol_objective rather than
+    stopping at its iteration cap, on the sign of its defect or only at the
+    cheap gap; a search that stops on a certified cheap solve leaves it
+    false.  probes holds one record per inner solve of the root search on
+    the caller's grid, in the order they ran, and coarse those of the coarse
+    levels (coarsest first).  iterations counts the inner iterations on the
     caller's grid, cell_iterations the iterations times the cells of every
     solve, coarse ones included.
     """
@@ -179,6 +180,7 @@ class SolverReport:
     objective: float
     u_sup: float
     r_norm: float
+    r_tv: float
     phi_tv: float
     converged: bool
     gap_met: bool
@@ -237,18 +239,18 @@ class HierarchyTrace:
 def contract(f: ScalarField, u_arr: np.ndarray, r: ScalarField, lam: float,
              p: int) -> dict[str, float]:
     """The contract of a result (u, r) of min_u ||u||_inf + lam ||f - div
-    u||_2^p, u as a stacked (d, ...) array: objective, u_sup, r_norm, phi_tv
-    = |phi_p(r)|_TV (0 for r = 0) and lower_bound, the weak-duality lower
-    bound on the minimum by _dual_bound, -inf for a p = 1 residual saturated
-    in the sense of minimize_flambda (||r||_2 <= SATURATION_TOL ||f||_2).
-    TV(r) is computed once, for phi_tv and the bound."""
+    u||_2^p, u as a stacked (d, ...) array: objective, u_sup, r_norm, r_tv
+    = TV(r), phi_tv = |phi_p(r)|_TV (0 for r = 0) and lower_bound, the
+    weak-duality lower bound on the minimum by _dual_bound, -inf for a p = 1
+    residual saturated in the sense of minimize_flambda (||r||_2 <=
+    SATURATION_TOL ||f||_2).  TV(r) is computed once, for all three."""
     u_sup, r_norm = sup_magnitude(u_arr), lp_norm(r, 2)
     tv = tv_norm(r, "isotropic")
     if p == 1 and r_norm <= SATURATION_TOL * lp_norm(f, 2):
         lower = -math.inf
     else:
         lower = _dual_bound(f.values, r.values, tv, f.grid.cell_volume, lam, p)
-    return dict(objective=u_sup + lam * r_norm**p, u_sup=u_sup, r_norm=r_norm,
+    return dict(objective=u_sup + lam * r_norm**p, u_sup=u_sup, r_norm=r_norm, r_tv=tv,
                 phi_tv=0.0 if r_norm == 0.0 else p * r_norm ** (p - 2) * tv,
                 lower_bound=lower)
 
@@ -880,46 +882,50 @@ def estimate_eta(f: ScalarField) -> float:
     return max(probe, _stripe_closure_witness(f.grid))
 
 
-def _level_loop(
-    f: ScalarField,
-    cfg: HierarchyConfig,
-    trace: HierarchyTrace,
-    p: int,
-    lam_of: Callable[[int], float],
-    stalls: Callable[[float], bool],
-) -> tuple[VectorField, bool]:
-    """The telescoping loop of both hierarchies: level j minimizes with
-    exponent p and lam_of(j) on r_{j-1} (r_0 = f) and records itself in
-    trace; stops at ||r_j|| <= stop_residual ||f||, or returns stalled after
-    three consecutive levels whose residual ratio stalls() flags."""
+def _hierarchy(
+    f: ScalarField, cfg: HierarchyConfig | None, p: int
+) -> tuple[VectorField, HierarchyTrace]:
+    """Both hierarchies: level j minimizes with exponent p on r_{j-1} (r_0
+    = f), at lam_j = lam 2^(j-1) for p = 2 and lam for p = 1 (lam = cfg.lam,
+    or estimated as hierarchical_p2 and hierarchical_p1 say), and records
+    itself in trace; stops at ||r_j|| <= stop_residual ||f||, or after three
+    consecutive levels whose residual ratio stalls (> 0.95 at p = 2, >= 1
+    at p = 1), flagged as trace.stagnated or trace.lambda_too_small."""
+    cfg = cfg or HierarchyConfig()
     grid = f.grid
+    fnorm = lp_norm(f, 2)
+    trace = HierarchyTrace(f_norm=fnorm, eta_used=None)
+    if fnorm == 0.0:
+        return VectorField.zeros(grid), trace
+    lam = cfg.lam
+    if lam is None and p == 2:
+        trace.eta_used = estimate_eta(f)
+        lam = 2.0 * trace.eta_used / fnorm
+    elif lam is None:
+        if not all(grid.periodic):
+            raise ValueError("lam is required on non-periodic grids (no "
+                             "Helmholtz probe of gamma)")
+        lam = 4.0 * (sup_norm_vector(helmholtz_solve(f, strict_mean=False)) / fnorm)
+
     total = np.zeros((grid.d,) + grid.n)
-    r_prev, prev_norm = f, trace.f_norm
+    r, r_norm = f, fnorm
     stalled = 0
     for j in range(1, cfg.max_levels + 1):
-        lam_j = lam_of(j)
-        u_j, r_j, rep = minimize_flambda(r_prev, VariationalConfig(lam=lam_j, p=p))
+        lam_j = lam * 2.0 ** (j - 1) if p == 2 else lam
+        u_j, r_j, rep = minimize_flambda(r, VariationalConfig(lam=lam_j, p=p))
         total += u_j.as_array()
-        r_norm = rep.r_norm
-        ratio = r_norm / prev_norm if prev_norm > 0 else 0.0
-        trace.levels.append(
-            LevelRecord(
-                level=j,
-                lam=lam_j,
-                u_sup=rep.u_sup,
-                r_norm=r_norm,
-                r_tv=tv_norm(r_j, "isotropic"),
-                cumulative_sup=sup_magnitude(total),
-                ratio=ratio,
-            )
-        )
-        stalled = stalled + 1 if stalls(ratio) else 0
+        ratio = rep.r_norm / r_norm if r_norm > 0 else 0.0
+        trace.levels.append(LevelRecord(level=j, lam=lam_j, u_sup=rep.u_sup, r_norm=rep.r_norm,
+                                        r_tv=rep.r_tv, cumulative_sup=sup_magnitude(total),
+                                        ratio=ratio))
+        stalled = stalled + 1 if (ratio > 0.95 if p == 2 else ratio >= 1.0) else 0
         if stalled >= 3:
-            return VectorField.from_arrays(grid, list(total)), True
-        r_prev, prev_norm = r_j, r_norm
-        if r_norm <= cfg.stop_residual * trace.f_norm:
+            trace.stagnated, trace.lambda_too_small = p == 2, p == 1
             break
-    return VectorField.from_arrays(grid, list(total)), False
+        r, r_norm = r_j, rep.r_norm
+        if r_norm <= cfg.stop_residual * fnorm:
+            break
+    return VectorField.from_arrays(grid, list(total)), trace
 
 
 def hierarchical_p2(
@@ -930,21 +936,7 @@ def hierarchical_p2(
     when that is None 2 eta / ||f||_2 with eta = estimate_eta(f), recorded
     in trace.eta_used.  The residuals decay geometrically once the TV
     certificates engage, and the partial sums stay uniformly bounded."""
-    cfg = cfg or HierarchyConfig()
-    fnorm = lp_norm(f, 2)
-    trace = HierarchyTrace(f_norm=fnorm, eta_used=None)
-    if fnorm == 0.0:
-        return VectorField.zeros(f.grid), trace
-
-    lam1 = cfg.lam
-    if lam1 is None:
-        trace.eta_used = estimate_eta(f)
-        lam1 = 2.0 * trace.eta_used / fnorm
-
-    u, trace.stagnated = _level_loop(
-        f, cfg, trace, 2, lambda j: lam1 * 2.0 ** (j - 1), lambda q: q > 0.95
-    )
-    return u, trace
+    return _hierarchy(f, cfg, 2)
 
 
 def hierarchical_p1(
@@ -955,21 +947,4 @@ def hierarchical_p1(
     of the bounded-solution bound.  lambda = cfg.lam, or when that is None
     4 gamma with gamma = sup|u_H| / ||f||_2 for the Helmholtz solution u_H
     of f, which needs a fully periodic grid (ValueError otherwise)."""
-    cfg = cfg or HierarchyConfig()
-    grid = f.grid
-    fnorm = lp_norm(f, 2)
-    trace = HierarchyTrace(f_norm=fnorm, eta_used=None)
-    if fnorm == 0.0:
-        return VectorField.zeros(grid), trace
-
-    lam = cfg.lam
-    if lam is None:
-        if not all(grid.periodic):
-            raise ValueError("lam is required on non-periodic grids (no "
-                             "Helmholtz probe of gamma)")
-        lam = 4.0 * (sup_norm_vector(helmholtz_solve(f, strict_mean=False)) / fnorm)
-
-    u, trace.lambda_too_small = _level_loop(
-        f, cfg, trace, 1, lambda j: lam, lambda q: q >= 1.0
-    )
-    return u, trace
+    return _hierarchy(f, cfg, 1)

@@ -202,6 +202,9 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     lam = 4.0 * (norms.sup_norm_vector(u) / norms.lp_norm(f, 2))
     levels = json.loads(rep_path.read_text())["trace"]["levels"]
     assert levels and all(rec["lam"] == lam for rec in levels)
+    # below the trivial threshold hier-p2 stagnates on three zero levels
+    assert run(["solve", "--method", "hier-p2", "--input", str(data),
+                "--out-prefix", str(tmp_path / "h"), "--lambda", "1e-6"]) == cli.EXIT_NOCONV
 
 
 def test_hier_p1_on_a_box_needs_no_gamma(tmp_path, monkeypatch, capsys):
@@ -228,6 +231,37 @@ def test_solve_without_lambda_where_none_is_estimated(tmp_path, capsys):
                     "--out-prefix", str(tmp_path / "s")])
         assert code == cli.EXIT_INVARIANT
         assert message in capsys.readouterr().err
+
+
+def test_non_finite_domain_bounds_rejected_before_the_payload(tmp_path, capsys):
+    header = b"BDIV1" + struct.pack("<B", 2) + struct.pack("<2I", 4, 4)
+    path = tmp_path / "hostile.bdiv"
+    for lo, hi in ((float("nan"), 1.0), (0.0, float("inf"))):
+        path.write_bytes(header + struct.pack("<4d", lo, lo, hi, hi)
+                         + struct.pack("<B", 0) + bytes(8 * 16))
+        for argv in (["norms", "--kinds", "lp:2"],
+                     ["solve", "--method", "onestep2d", "--out-prefix", str(tmp_path / "s")]):
+            assert run([*argv, "--input", str(path)]) == cli.EXIT_INVARIANT
+            assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("s_*"))
+
+
+def test_solve_rejects_an_option_its_method_does_not_read(tmp_path, capsys):
+    data = _torus_input(tmp_path)
+    out = ["--input", str(data), "--out-prefix", str(tmp_path / "s")]
+    for argv, flag in ((["hier-p2", "--p", "1"], "--p"),
+                       (["onestep2d", "--tau", "3"], "--tau"),
+                       (["minimize", "--lambda", "3.0", "--levels", "3"], "--levels")):
+        assert run(["solve", "--method", *argv, *out]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.strip().endswith(f"does not read {flag}")
+    assert not list(tmp_path.glob("s_*"))
+    # the manifest records the method options given, and only those
+    rep_path = tmp_path / "rep.json"
+    assert run(["solve", "--method", "hier-p1", "--lambda", "1.0", *out,
+                "--report", str(rep_path)]) == cli.EXIT_OK
+    config = json.loads(rep_path.read_text())["manifest"]["config"]
+    assert config["lam"] == 1.0
+    assert not {"p", "tau", "mode", "levels", "max_iter"} & set(config)
 
 
 def test_norms_command_matches_library(tmp_path, capsys):

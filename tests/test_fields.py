@@ -57,6 +57,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((2, 2, 2, 2), 0.0, 1.0)
 
+    def test_rejects_non_finite_bounds(self):
+        for lo, hi in ((float("nan"), 1.0), (0.0, float("inf")), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="finite"):
+                Grid((8, 8), lo, hi)
+
     def test_centers(self):
         g = Grid((2,), 0.0, 1.0)
         assert np.allclose(g.axis_centers(0), [0.25, 0.75])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bdiv.examples import nirenberg_field
 from bdiv.fields import Grid, ScalarField, discrete_divergence
-from bdiv.norms import lp_norm, sup_norm_vector
+from bdiv.norms import lp_norm, sup_norm_vector, tv_norm
 from bdiv.variational import (
     CHEAP_GAP,
     SATURATION_TOL,
@@ -138,9 +138,10 @@ def _coarse_case(name, seed=0):
 
 def _check_contracts(f, cfg, u, r, rep):
     """The minimize_flambda contracts: r = f - div u, the trivial bound, the
-    certificate band or p = 1 saturation on convergence, the weak-duality
-    bound (recomputed by the oracle from the returned u and r) under the
-    objective and, on convergence with an unsaturated residual, within
+    certificate band or p = 1 saturation on convergence, report.r_tv =
+    TV(r) bit for bit, the weak-duality bound (recomputed by the oracle
+    from the returned u and r) under the objective and, on convergence
+    with an unsaturated residual, within
     CHEAP_GAP of it at p = 2 and within the band plus CHEAP_GAP at p = 1
     (where the bound is first order in the certificate defect); and one
     cell-iteration budget shared by every level."""
@@ -156,6 +157,7 @@ def _check_contracts(f, cfg, u, r, rep):
     saturated = p == 1 and lp_norm(r, 2) <= SATURATION_TOL * fnorm
     if rep.converged:
         assert phi_p_tv(r, p) <= (1.0 + cfg.tol_residual) / lam or saturated
+    assert rep.r_tv == tv_norm(r, "isotropic")
     grid = f.grid
     lower = -np.inf if saturated else weak_duality_bound(
         f.values, r.values, grid.h, grid.periodic, lam, p)

@@ -646,6 +646,18 @@ class TestHierarchicalP2:
             assert rec.u_sup <= bound * (1 + 0.02)
         assert trace.levels[-1].cumulative_sup <= 4.0 * eta_m * fn
 
+    def test_tiny_lam_stagnates_on_trivial_levels(self):
+        # below the trivial threshold every level returns u = 0, r = f
+        f = torus_field(n=16, seed=700)
+        u, trace = hierarchical_p2(f, HierarchyConfig(lam=1e-6))
+        assert [rec.ratio for rec in trace.levels] == [1.0, 1.0, 1.0]
+        assert trace.stagnated and not trace.lambda_too_small
+        assert np.all(u.as_array() == 0.0)
+
+    def test_config_needs_a_level(self):
+        with pytest.raises(ValueError, match="at least one level"):
+            HierarchyConfig(max_levels=0)
+
     def test_certificates_per_level(self):
         f = torus_field(n=12, seed=12)
         u, trace = hierarchical_p2(f, HierarchyConfig())

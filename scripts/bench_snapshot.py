@@ -21,6 +21,14 @@ that one too, labelled "parent") it records:
   (summed over every minimize_flambda call of the run, estimate_eta's
   probe included) of the default hierarchical_p2 and hierarchical_p1 on
   the mean-zero seed-700 Gaussian torus field at 32^2 and 64^2;
+- a p = 1 whole-run row: iterations, cell-iterations, objective,
+  certified relative gap (objective - lower_bound) / objective (null when
+  the bound is not finite), wall time and ns per cell-iteration of one
+  default p = 1 minimize_flambda call on each hierarchy-small field (the
+  mean-zero Gaussian 16^2 tori of seeds 700-702, at lam = 4 gamma, the lam
+  of hierarchical_p1), each run the median of P1_REPEATS solves, and on
+  the 64^2 Nirenberg field at lam = 4, one solve in the first P1_LARGE_RUNS
+  rounds only;
 - three layer rows: ns per cell of one bound divergence and of one bound
   gradient (the fields._divergence_calls and _gradient_calls lists the
   FISTA iteration reruns, in unit spacing) on a torus and on a box at
@@ -81,6 +89,8 @@ MORREY_RUNS = {256: 1}  # rounds that time these sizes; others: RUNS
 TWOSTEP_SIZES = (50, 100, 200)
 TWOSTEP_RUNS = {200: 3}  # rounds that time these sizes; others: RUNS
 HIERARCHY_SIZES = (32, 64)
+P1_REPEATS = 5  # timed 16^2 p = 1 solves per run; the run records their median
+P1_LARGE_RUNS = 3  # rounds that time the 64^2 p = 1 solve
 
 # per size, the median over repeats of one timed loop of bound divergence
 # (gradient) calls, each writing every cell of a C-ordered buffer; uses only
@@ -216,6 +226,42 @@ print(json.dumps(out))
 """
 
 
+# the p = 1 row, on the default config: the hierarchy-small fields at the
+# lam of hierarchical_p1 (4 gamma, gamma = sup|u_H| / ||f||_2 of the
+# Helmholtz solution), each the median of argv[2] solves, and with argv[1]
+# = "1" the 64^2 Nirenberg field at lam = 4, solved once
+P1_ROW = """
+import json, math, statistics, sys, time
+from bdiv import variational
+from bdiv.examples import nirenberg_field, random_field
+from bdiv.fields import mean_zero
+from bdiv.norms import lp_norm, sup_norm_vector
+
+cases = {}
+for seed in (700, 701, 702):
+    f = mean_zero(random_field(seed, 16, periodic=True))
+    u_h = variational.helmholtz_solve(f, strict_mean=False)
+    cases[f"torus{seed} 16x16"] = (f, 4.0 * (sup_norm_vector(u_h) / lp_norm(f, 2)), int(sys.argv[2]))
+if sys.argv[1] == "1":
+    cases["nirenberg 64x64"] = (nirenberg_field(64), 4.0, 1)
+out = {}
+for key, (f, lam, repeats) in cases.items():
+    cfg = variational.VariationalConfig(lam=lam, p=1)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        _, _, rep = variational.minimize_flambda(f, cfg)
+        times.append(time.perf_counter() - t0)
+    wall = statistics.median(times)
+    gap = (rep.objective - rep.lower_bound) / rep.objective
+    out[key] = {"wall_s": wall, "ns_per_cell_iter": wall / rep.cell_iterations * 1e9,
+                "iterations": rep.iterations, "cell_iterations": rep.cell_iterations,
+                "objective": rep.objective, "rel_gap": gap if math.isfinite(gap) else None,
+                "converged": rep.converged}
+print(json.dumps(out))
+"""
+
+
 def child_env(tree: Path | None = None) -> dict:
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     if tree is not None:
@@ -271,13 +317,20 @@ def hierarchy_row(tree: Path) -> dict:
     return layer(tree, HIERARCHY_ROW, ",".join(map(str, HIERARCHY_SIZES)))
 
 
+def p1_row(tree: Path, seed: int) -> dict:
+    return layer(tree, P1_ROW, "1" if seed <= P1_LARGE_RUNS else "0", str(P1_REPEATS))
+
+
+TIMED = ("wall_s", "ns_per_cell_iter")  # the entries of a row that vary between runs
+
+
 def row_summary(runs: list[dict]) -> dict:
-    """Wall-time summary of one whole-run row's runs; the counts, the same
-    in every run, once."""
-    counts = {k: v for k, v in runs[0].items() if k != "wall_s"}
+    """Summary of the timed entries of one whole-run row's runs; the
+    counts, the same in every run, once."""
+    counts = {k: v for k, v in runs[0].items() if k not in TIMED}
     if any({k: r[k] for k in counts} != counts for r in runs):
         raise SystemExit(f"whole-run counts differ between runs: {runs}")
-    return dict(wall_s=summary([r["wall_s"] for r in runs]), **counts)
+    return dict({k: summary([r[k] for r in runs]) for k in TIMED if k in runs[0]}, **counts)
 
 
 def summary(values: list[float]) -> dict:
@@ -357,6 +410,7 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
     morrey = {label: {n: [] for n in MORREY_SIZES} for label in trees}
     twostep = {label: {n: [] for n in TWOSTEP_SIZES} for label in trees}
     hierarchy = {label: {} for label in trees}
+    p1 = {label: {} for label in trees}
     order = list(trees)
     for seed in range(1, RUNS + 1):
         labels = order if seed % 2 else order[::-1]
@@ -377,6 +431,8 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
                 twostep[label][int(n)].append(row)
             for key, row in hierarchy_row(trees[label]).items():
                 hierarchy[label].setdefault(key, []).append(row)
+            for key, row in p1_row(trees[label], seed).items():
+                p1[label].setdefault(key, []).append(row)
 
     columns = {}
     for label, tree in trees.items():
@@ -412,6 +468,9 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
                 "variational.hierarchy_torus700": {
                     key: row_summary(runs) for key, runs in hierarchy[label].items()
                 },
+                "variational.minimize_p1": {
+                    key: row_summary(runs) for key, runs in p1[label].items()
+                },
             },
             "layers": {
                 **{f"fields.{op}_ns_per_cell": {
@@ -443,6 +502,7 @@ def measure(trees: dict[str, Path], pr: int) -> dict:
             "twostep_runs": {str(n): TWOSTEP_RUNS.get(n, RUNS) for n in TWOSTEP_SIZES},
             "twostep_settings": TABLE1_SETTINGS,
             "hierarchy_sizes": list(HIERARCHY_SIZES),
+            "p1_repeats_per_run": P1_REPEATS, "p1_large_runs": P1_LARGE_RUNS,
         },
         "columns": columns,
     }

@@ -145,13 +145,17 @@ def _ending(q) -> str:
 
 
 def _print_probes(label: str, rep) -> None:
-    """The run's totals, then one line per grid level, coarsest first: its
-    solves and how they ended, iterations and cell-iterations, the relative
-    duality gap its final solve reached, and that solve's relative gap
-    (objective - bound) / objective over its weak-duality bound (inf for a
-    saturated p = 1 residual, which has no bound)."""
+    """The run's totals, with the objective and its relative gap (objective
+    - lower_bound) / objective, then, for the p = 2 root search, one line
+    per grid level, coarsest first: its solves and how they ended,
+    iterations and cell-iterations, the relative duality gap its final
+    solve reached, and that solve's relative gap over its weak-duality
+    bound.  A p = 1 run, one primal-dual solve, has no probe records and
+    prints its totals only."""
     print(f"{label}: {rep.iterations} iterations on the caller's grid, "
           f"{rep.cell_iterations / 1e6:.1f} M cell-iterations over all levels; "
+          f"objective {rep.objective:.6f}, relative gap "
+          f"{(rep.objective - rep.lower_bound) / rep.objective:.2e}; "
           f"converged={rep.converged} gap_met={rep.gap_met}")
     for cells in sorted({q.cells for q in rep.coarse + rep.probes}):
         level = [q for q in rep.coarse + rep.probes if q.cells == cells]

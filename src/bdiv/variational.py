@@ -2,32 +2,38 @@
 div u||_Y^p for Y = L2, the spectral Helmholtz solver, the two-step
 construction, and the hierarchical multistep schemes built on top.
 
-Solver structure.  Any minimizer admits the extremal form u = nu w with a
-pointwise-constrained dual field |w(x)|_2 <= 1 and a scalar nu >= 0: for
-fixed nu, w solves the quadratic dual min 0.5 ||f - nu div w||^2 (projected
-FISTA with adaptive restart), and nu is pinned by the residual certificate
-- TV(r) = 1/(2 lambda) for p = 2, TV(r) = ||r||_2 / lambda for p = 1 -
-through a bracketed one-dimensional root search with warm starts.  Each
-probe of the search solves to a cheap duality gap first, which fixes the
-sign of the certificate defect wherever it lies outside twice the band; at
-p = 2 the cheap solve stops as soon as its gap decides that sign, at a gap
-that grows with the defect up to SIGN_GAP.  Weak duality bounds the
-objective from below at the cost of two dot products of the probe's
-residual (_dual_bound), and the search stops at the first probe inside the
-band whose objective that bound certifies to CHEAP_GAP; a probe near the
-root that the cheap solve did not certify (at p = 2 inside the band, at
-p = 1 within twice it) continues to the tight gap.  Hitting the
-certificate is then part of the construction rather than a limit
-property.  The objective is
-1-homogeneous under (u, f, lambda) -> (cu, cf, lambda c^{p-1}), so the
-iteration runs on unit-L2-normalized data and rescales the outputs,
-keeping all internal quantities at O(1) scale.
+Solver structure at p = 2.  Any minimizer admits the extremal form u = nu
+w with a pointwise-constrained dual field |w(x)|_2 <= 1 and a scalar nu >=
+0: for fixed nu, w solves the quadratic dual min 0.5 ||f - nu div w||^2
+(projected FISTA with adaptive restart), and nu is pinned by the residual
+certificate TV(r) = 1/(2 lambda) through a bracketed one-dimensional root
+search with warm starts.  Each probe of the search solves to a cheap
+duality gap first, which fixes the sign of the certificate defect wherever
+it lies outside twice the band, and stops as soon as its gap decides that
+sign, at a gap that grows with the defect up to SIGN_GAP.  Weak duality
+bounds the objective from below at the cost of two dot products of the
+probe's residual (_dual_bound), and the search stops at the first probe
+inside the band whose objective that bound certifies to CHEAP_GAP; a probe
+inside the band that the cheap solve did not certify continues to the
+tight gap.  Hitting the certificate is then part of the construction
+rather than a limit property.
 
-Coarse start.  The root nu* hardly moves with resolution, so on a grid
-with even axes whose 2^d-cell average has at least COARSE_MIN_CELLS cells
-the search first finds it, with cheap solves only, on that average
+Coarse start (p = 2).  The root nu* hardly moves with resolution, so on a
+grid with even axes whose 2^d-cell average has at least COARSE_MIN_CELLS
+cells the search first finds it, with cheap solves only, on that average
 (recursively), and starts there from the prolonged coarse dual field.
 All levels share one budget of iterations times cells.
+
+Solver structure at p = 1.  The fidelity lambda ||r||_2 is an exact
+penalty, so the minimizer's residual vanishes past a finite lambda, where
+the certificate of the p = 2 search says nothing.  A primal-dual
+(Chambolle-Pock) iteration solves the problem directly instead, and its
+dual point, scaled into the dual feasible set, bounds the minimum from
+below; it stops once that bound certifies the objective to CHEAP_GAP.
+
+The objective is 1-homogeneous under (u, f, lambda) -> (cu, cf, lambda
+c^{p-1}), so both solvers run on unit-L2-normalized data and rescale the
+outputs, keeping all internal quantities at O(1) scale.
 """
 
 from __future__ import annotations
@@ -50,13 +56,12 @@ from .fields import (
 )
 from .norms import lp_norm, sup_magnitude, sup_norm_vector, tv_norm
 
-# relative L2 residual below which a p = 1 solve counts as saturated: past
-# the exact-penalty threshold the minimizer's residual is zero, and there
-# |phi_1(r)|_TV = TV(r) / ||r||_2 certifies nothing
-SATURATION_TOL = 1e-3
-
-# FISTA iterations between duality-gap checks of an inner solve
+# iterations between duality-gap checks of an inner solve (FISTA) and of
+# the p = 1 primal-dual solve
 CHECK_EVERY = 50
+
+# sigma tau ||div||^2 of the p = 1 primal-dual solve (below 1)
+STEP_PRODUCT = 0.99
 
 # relative duality gap of the cheap solve that opens every probe, and the
 # relative gap (objective - lower bound) / objective that settles the search
@@ -92,10 +97,12 @@ COARSE_MIN_CELLS = 512
 class VariationalConfig:
     """Knobs of the minimizer.
 
-    max_iters caps the total inner first-order iterations across the root
-    search; tol_objective is the relative duality-gap tolerance of the
-    inner solves; tol_residual is the accepted relative width of the
-    certificate band around the target.
+    max_iters caps the total first-order iterations: across the root
+    search at p = 2, of the primal-dual solve at p = 1.  tol_objective is
+    the relative duality-gap tolerance of the inner solves (at p = 1 only
+    what gap_met reports against); tol_residual, the accepted relative width
+    of the certificate band around the target, and inner_iters, the cap of
+    one inner solve, apply at p = 2 only.
     """
 
     lam: float
@@ -116,22 +123,22 @@ class VariationalConfig:
 
 @dataclass
 class Probe:
-    """One inner solve of the root search, at nu on the unit-normalized data.
+    """One inner solve of the p = 2 root search, at nu on the
+    unit-normalized data.
 
     gap is the relative duality gap asked (1e-4 for the cheap solve,
     tol_objective for the tight one), gap_met whether it was reached, and
     gap_reached the relative gap of the solve's last check; sign_decided
-    says that a cheap p = 2 solve stopped before its iteration cap, above
-    its gap, because that gap already decided the sign of its defect (such
-    a record lies outside twice the band, so it never settles the search);
-    a solve neither met nor decided stopped at its cap; cells is the
-    cell count of the grid it ran on; defect is the certificate defect,
-    positive while nu is below the root, and scale its natural size;
-    saturated flags a vanished p = 1 residual; objective is that of the
-    iterate on the data of its grid, and bound the weak-duality lower bound
-    on its minimum from the iterate's residual (_dual_bound; -inf for a
-    saturated residual).  The record is certified when (objective - bound)
-    / objective <= CHEAP_GAP.
+    says that a cheap solve stopped before its iteration cap, above its
+    gap, because that gap already decided the sign of its defect (such a
+    record lies outside twice the band, so it never settles the search); a
+    solve neither met nor decided stopped at its cap; cells is the cell
+    count of the grid it ran on; defect is the certificate defect TV(r) -
+    scale, positive while nu is below the root, and scale the target TV(r)
+    = 1 / (2 lam) on the normalized data; objective is that of the iterate
+    on the data of its grid, and bound the weak-duality lower bound on its
+    minimum from the iterate's residual (_dual_bound).  The record is
+    certified when (objective - bound) / objective <= CHEAP_GAP.
     """
 
     nu: float
@@ -143,7 +150,6 @@ class Probe:
     cells: int
     defect: float
     scale: float
-    saturated: bool
     objective: float
     bound: float
 
@@ -157,23 +163,23 @@ class SolverReport:
     """Outcome of one minimization: certificates and convergence record.
 
     objective, u_sup, r_norm, r_tv = TV(r), phi_tv and lower_bound are the
-    contract of the returned (u, r).  lower_bound, the weak-duality lower
-    bound on the minimum (-inf for a saturated p = 1 residual), is computed
-    from the returned r, so objective - lower_bound bounds how far the
-    result is from optimal.  converged means the search settled inside the
-    certificate band: at p = 2 on a certified record, and the returned (u,
-    r) are certified, (objective - lower_bound) / objective <= CHEAP_GAP; at
-    p = 1, whose bound is first order in the certificate defect, on a
-    certified record, on a tight solve that ended at or below CHEAP_GAP, or
-    at a saturated residual.  gap_met means the inner solve behind the
-    returned u reached the duality-gap tolerance tol_objective rather than
-    stopping at its iteration cap, on the sign of its defect or only at the
-    cheap gap; a search that stops on a certified cheap solve leaves it
-    false.  probes holds one record per inner solve of the root search on
-    the caller's grid, in the order they ran, and coarse those of the coarse
-    levels (coarsest first).  iterations counts the inner iterations on the
-    caller's grid, cell_iterations the iterations times the cells of every
-    solve, coarse ones included.
+    contract of the returned (u, r).  lower_bound is a weak-duality lower
+    bound on the minimum, so objective - lower_bound bounds how far the
+    result is from optimal: at p = 2 that of the returned r, at p = 1 the
+    larger of it and the bound of the primal-dual solve's dual point.
+    converged means the returned (u, r) are certified, (objective -
+    lower_bound) / objective <= CHEAP_GAP, and at p = 2 also that the
+    search settled inside the certificate band.  gap_met means the solve
+    behind the returned u reached the duality-gap tolerance tol_objective:
+    at p = 2 the inner solve, rather than stopping at its iteration cap, on
+    the sign of its defect or only at the cheap gap (a search that stops on
+    a certified cheap solve leaves it false); at p = 1 the returned (u, r)
+    themselves.  probes holds one record per inner solve of the p = 2 root
+    search on the caller's grid, in the order they ran, and coarse those of
+    the coarse levels (coarsest first); both are empty at p = 1.
+    iterations counts the inner iterations on the caller's grid,
+    cell_iterations the iterations times the cells of every solve, coarse
+    ones included.
     """
 
     iterations: int
@@ -241,15 +247,11 @@ def contract(f: ScalarField, u_arr: np.ndarray, r: ScalarField, lam: float,
     """The contract of a result (u, r) of min_u ||u||_inf + lam ||f - div
     u||_2^p, u as a stacked (d, ...) array: objective, u_sup, r_norm, r_tv
     = TV(r), phi_tv = |phi_p(r)|_TV (0 for r = 0) and lower_bound, the
-    weak-duality lower bound on the minimum by _dual_bound, -inf for a p = 1
-    residual saturated in the sense of minimize_flambda (||r||_2 <=
-    SATURATION_TOL ||f||_2).  TV(r) is computed once, for all three."""
+    weak-duality lower bound on the minimum from r by _dual_bound.  TV(r) is
+    computed once, for all three."""
     u_sup, r_norm = sup_magnitude(u_arr), lp_norm(r, 2)
     tv = tv_norm(r, "isotropic")
-    if p == 1 and r_norm <= SATURATION_TOL * lp_norm(f, 2):
-        lower = -math.inf
-    else:
-        lower = _dual_bound(f.values, r.values, tv, f.grid.cell_volume, lam, p)
+    lower = _dual_bound(f.values, r.values, tv, f.grid.cell_volume, lam, p)
     return dict(objective=u_sup + lam * r_norm**p, u_sup=u_sup, r_norm=r_norm, r_tv=tv,
                 phi_tv=0.0 if r_norm == 0.0 else p * r_norm ** (p - 2) * tv,
                 lower_bound=lower)
@@ -286,6 +288,18 @@ def _dual_bound(f: np.ndarray, r: np.ndarray, tv: float, vol: float, lam: float,
 
 
 # -- inner dual solve ----------------------------------------------------------
+
+
+def _magnitude_calls(g: np.ndarray, mag: np.ndarray, tmp: np.ndarray | None) -> list[Callable]:
+    """Bound calls setting mag to the pointwise l2 magnitude of the stacked
+    (d, ...) array g, tmp scratch (None for d = 1): the square root of the
+    squared components summed in axis order, np.abs for d = 1."""
+    if g.shape[0] == 1:
+        return [partial(np.abs, g[0], mag)]
+    calls = [partial(np.multiply, g[0], g[0], mag)]
+    for c in g[1:]:
+        calls += [partial(np.multiply, c, c, tmp), partial(np.add, mag, tmp, mag)]
+    return calls + [partial(np.sqrt, mag, mag)]
 
 
 class _DualState:
@@ -355,18 +369,7 @@ class _DualState:
         self._div_w2 = [_divergence_calls(w, grid.h, grid.periodic, self._r, self._tmp)
                         for w in self._w2]
         self._grad_r = _gradient_calls(self._r, grid.h, grid.periodic, self._g)
-        self._mag_g = self._magnitude_calls(self._g)
-
-    def _magnitude_calls(self, g: np.ndarray) -> list[Callable]:
-        """Bound calls setting _mag to the pointwise l2 magnitude of the
-        stacked (d, ...) array g."""
-        mag, tmp = self._mag, self._tmp
-        if self.grid.d == 1:
-            return [partial(np.abs, g[0], mag)]
-        calls = [partial(np.multiply, g[0], g[0], mag)]
-        for c in g[1:]:
-            calls += [partial(np.multiply, c, c, tmp), partial(np.add, mag, tmp, mag)]
-        return calls + [partial(np.sqrt, mag, mag)]
+        self._mag_g = _magnitude_calls(self._g, self._mag, self._tmp)
 
     def residual(self, nu: float) -> np.ndarray:
         """f - nu div w in _r, returned without a copy: the next solve or
@@ -399,7 +402,7 @@ class _DualState:
             partial(np.add, q, self._fs, q),
             *self._grad_q[1 - k],
             partial(np.add, w_new, wy, w_new),
-            *self._magnitude_calls(w_new),
+            *_magnitude_calls(w_new, mag, self._tmp),
             partial(np.maximum, mag, 1.0, out=mag),  # positional out deprecated
             partial(np.divide, w_new, mag[None], w_new),
             partial(np.subtract, w_new, w, g),
@@ -416,7 +419,7 @@ class _DualState:
 
         Stops when the duality gap falls below gap_rel times the natural
         scale nu * M, M = max(TV(r), tv_ref); tv_ref keeps the threshold sane
-        when the residual collapses past saturation.  With sign = (t, width)
+        when the residual collapses.  With sign = (t, width)
         it also stops, its threshold unmet, once the gap falls below nu
         min(gap_rel |TV(r) - t| / width, SIGN_GAP t): the gap that decides
         the sign of the defect TV(r) - t as surely as gap_rel decides it at
@@ -458,71 +461,237 @@ class _DualState:
         return tv, max_iters, False, gap / scale
 
 
+# -- primal-dual solve at p = 1 ------------------------------------------------
+
+
+class _PrimalDual:
+    """Chambolle-Pock solve (JMIV 40, 2011) of min_u ||u||_inf + lam ||f -
+    div u||_2 on unit-normalized data, with K = div and K^T = -grad.
+
+    y is the dual variable times the cell volume, so that lam ||g||_2 is the
+    largest sum_x y g over the ball |y| <= R = lam sqrt(vol), |.| the plain
+    Euclidean norm of an array.  One iteration, from u, y and the
+    extrapolated point ubar:
+        y <- the projection on that ball of y + sigma (div ubar - f),
+        u <- the prox of tau ||.||_inf at v = u + tau grad y,
+        ubar <- 2 u - u_old.
+    The prox clips the pointwise magnitudes |v(x)| at the level mu where
+    sum_x max(|v(x)| - mu, 0) = tau (Moreau's identity and the projection
+    on an l1 ball; Condat, Math. Prog. 158, 2016), or returns 0 when sum_x
+    |v(x)| <= tau.  That sum is convex and piecewise linear in mu, so
+    Newton's method from the last mu is exact once the set of magnitudes
+    above mu stops changing.
+
+    Steps: sigma tau sum_a 4 / h_a^2 = STEP_PRODUCT < 1, with tau / sigma =
+    rho^2.  rho starts at sqrt(d cells / vol), the ratio |u| / |y| when
+    every component of u has size lam (an objective below the trivial bound
+    keeps |u(x)| <= lam) and |y| = R.  At each check rho moves halfway, in
+    log scale, to the measured |u| / |y| (the primal weight of Applegate et
+    al., NeurIPS 2021), and the extrapolation restarts (ubar = u).  Setting
+    rho to |u| / |y| outright can cycle: on the 46^2 Nirenberg field at lam
+    = 1 from rho = 30 the gap swings between 0.64 and 0.73 with period
+    3,000 iterations.
+
+    Certificate: phi = -c y / vol has ||phi||_2 = |y| / sqrt(vol) and
+    TV(phi) = sum_x |grad y(x)|, so with c = min(1, 1 / TV(-y / vol), R /
+    |y|) it is dual feasible, ||phi||_2 <= lam and TV(phi) <= 1, and weak
+    duality (see _dual_bound) bounds the minimum below by <f, phi>.  A
+    check returns the objective of u and that bound.
+
+    The arrays are allocated at construction and an iteration allocates
+    none.  The stencils are the bound calls of ``fields``: the divergence of
+    ubar with spacing h / sigma into _z and the gradient of y with spacing
+    h / tau into _g, which fold the steps into the differences and are
+    rebound when the steps change; for the checks, the h-spaced divergence
+    of u and the h-spaced gradient of y.  _ubar holds u_old while u is
+    updated in place; _z holds sigma div ubar, or the residual at a check;
+    _g holds v, or grad y at a check; _mag the magnitudes, _s the Newton and
+    reduction scratch, _tmp the divergence and magnitude scratch.
+    Every reduction is an np.add.reduce (np.sum's), never a BLAS dot, whose
+    result can depend on the thread count.
+    """
+
+    def __init__(self, farr: np.ndarray, grid: Grid, lam: float):
+        self.farr, self.grid, self.lam = farr, grid, lam
+        self.vol = grid.cell_volume
+        self.radius = lam * math.sqrt(self.vol)
+        self.step = math.sqrt(STEP_PRODUCT / sum(4.0 / h**2 for h in grid.h))
+        shape = (grid.d,) + grid.n
+        self.u = np.zeros(shape)
+        self._ubar = np.zeros(shape)
+        self.y = np.zeros(grid.n)
+        self._sf = np.empty(grid.n)
+        self._z = np.empty(grid.n)
+        self._g = np.empty(shape)
+        self._mag = np.empty(grid.n)
+        self._s = np.empty(grid.n)
+        self._tmp = np.empty(grid.n) if grid.d > 1 else None
+        self._mag_g = _magnitude_calls(self._g, self._mag, self._tmp)
+        self._mag_u = _magnitude_calls(self.u, self._mag, self._tmp)
+        self._div_u = _divergence_calls(self.u, grid.h, grid.periodic, self._z, self._tmp)
+        self._grad_y = _gradient_calls(self.y, grid.h, grid.periodic, self._g)
+        self.mu, self.c = 0.0, 0.0
+        self._set_steps(math.sqrt(grid.d * grid.size / self.vol))
+
+    def _set_steps(self, rho: float) -> None:
+        """tau / sigma = rho^2 at sigma tau = STEP_PRODUCT / ||div||^2."""
+        grid = self.grid
+        self.rho, self.tau, self.sigma = rho, self.step * rho, self.step / rho
+        np.multiply(self.farr, self.sigma, out=self._sf)
+        self._div_ubar = _divergence_calls(
+            self._ubar, [h / self.sigma for h in grid.h], grid.periodic, self._z, self._tmp)
+        self._grad_tau_y = _gradient_calls(
+            self.y, [h / self.tau for h in grid.h], grid.periodic, self._g)
+
+    def _clip_level(self) -> float:
+        """The level mu >= 0 whose clip of the magnitudes _mag takes tau
+        out of their sum (0 when the sum is at most tau), by Newton's method
+        from the last level.  A level at or above every magnitude restarts
+        from the line through all of them, which lies below the root."""
+        mag, s, tau = self._mag, self._s, self.tau
+        mu, count = self.mu, -1
+        # below the root every step shrinks the active set, and one step from
+        # anywhere lands there, so mag.size + 2 evaluations always suffice
+        for _ in range(mag.size + 2):
+            np.subtract(mag, mu, out=s)
+            np.maximum(s, 0.0, out=s)
+            active = int(np.count_nonzero(s))
+            if active == 0:
+                mu, count = (float(np.add.reduce(mag, axis=None)) - tau) / mag.size, mag.size
+                continue
+            if active == count:  # the same linear piece: mu is its root
+                break
+            mu += (float(np.add.reduce(s, axis=None)) - tau) / active
+            count = active
+        self.mu = max(mu, 0.0)
+        return self.mu
+
+    def iterate(self) -> None:
+        z, y, g, mag, u, ubar = self._z, self.y, self._g, self._mag, self.u, self._ubar
+        _run(self._div_ubar)
+        np.subtract(z, self._sf, out=z)
+        np.add(y, z, out=y)
+        np.multiply(y, y, out=z)
+        norm = math.sqrt(float(np.add.reduce(z, axis=None)))
+        if norm > self.radius:
+            np.multiply(y, self.radius / norm, out=y)
+        _run(self._grad_tau_y)
+        np.add(g, u, out=g)
+        _run(self._mag_g)
+        mu = self._clip_level()
+        np.copyto(ubar, u)
+        if mu > 0.0:  # v mu / max(|v|, mu)
+            np.maximum(mag, mu, out=mag)
+            np.divide(mu, mag, out=mag)
+            np.multiply(g, mag[None], out=u)
+        else:
+            u.fill(0.0)
+        np.subtract(u, ubar, out=ubar)  # u + (u - u_old)
+        np.add(ubar, u, out=ubar)
+
+    def check(self) -> tuple[float, float]:
+        """The objective of u and the bound <f, phi>; then the step ratio
+        and the restart of the extrapolation."""
+        z, s, mag, vol = self._z, self._s, self._mag, self.vol
+        _run(self._div_u)
+        np.subtract(self.farr, z, out=z)
+        np.multiply(z, z, out=z)
+        r_norm = math.sqrt(float(np.add.reduce(z, axis=None)) * vol)
+        _run(self._mag_u)
+        u_sup = float(mag.max())
+        np.multiply(mag, mag, out=s)
+        u_e = math.sqrt(float(np.add.reduce(s, axis=None)))
+        np.multiply(self.y, self.y, out=s)
+        y_e = math.sqrt(float(np.add.reduce(s, axis=None)))
+        _run(self._grad_y)
+        _run(self._mag_g)
+        tv = float(np.add.reduce(mag, axis=None))
+        self.c = min(1.0, 1.0 / tv if tv > 0.0 else 1.0, self.radius / y_e if y_e > 0.0 else 1.0)
+        np.multiply(self.farr, self.y, out=s)
+        bound = -self.c * float(np.add.reduce(s, axis=None))
+        if u_e > 0.0 and y_e > 0.0:
+            self._set_steps(math.sqrt(self.rho * u_e / y_e))
+        np.copyto(self._ubar, self.u)
+        return u_sup + self.lam * r_norm, bound
+
+    def solve(self, max_iters: int) -> int:
+        """Iterate from the zero pair until a check certifies (objective -
+        bound) / objective <= CHEAP_GAP, or for max_iters iterations;
+        returns the iterations run."""
+        for it in range(1, max_iters + 1):
+            self.iterate()
+            if it % CHECK_EVERY == 0 or it == max_iters:
+                objective, bound = self.check()
+                if objective - bound <= CHEAP_GAP * objective:
+                    return it
+        return max(max_iters, 0)
+
+    def dual_point(self) -> np.ndarray:
+        """phi = -c y / vol of the last check (0 before any), a new array."""
+        return (-self.c / self.vol) * self.y
+
 def minimize_flambda(
     f: ScalarField, cfg: VariationalConfig
 ) -> tuple[VectorField, ScalarField, SolverReport]:
     """Minimize ||u||_inf + lam ||f - div u||_2^p over vector fields u.
 
-    Returns (u*, r*, report) with r* = f - div u* exactly (u* is assembled
-    as nu times the dual field, and r* from the same arrays).  Contracts:
-    the returned objective never exceeds the zero-field objective
-    lam ||f||^p; on convergence the residual certificate |phi_p(r*)|_TV <=
-    (1 + tol_residual)/lam holds, or, for p = 1 in the exact-penalty regime,
-    the residual vanishes instead: ||r*||_2 <= SATURATION_TOL ||f||_2; the
-    weak-duality bound report.lower_bound never exceeds the objective, and
-    at p = 2 on convergence lies within CHEAP_GAP of it, relative; below
+    Returns (u*, r*, report) with r* = f - div u* exactly (r* is computed
+    from the returned u*).  Contracts: the returned objective never exceeds
+    the zero-field objective lam ||f||^p; the weak-duality bound
+    report.lower_bound never exceeds the objective, and on convergence lies
+    within CHEAP_GAP of it, relative; at p = 2 on convergence the residual
+    certificate |phi_2(r*)|_TV <= (1 + tol_residual)/lam holds too; below
     the trivial threshold lam |phi_p(f)|_TV <= 1 the zero field is optimal
     and returned exactly (its bound equals its objective).
 
-    The search over nu runs one bracket loop from a start (nu, w, slope),
-    then narrows the bracket by Illinois false position.  The cold start
-    (0.25, w = 0, no slope) doubles nu, and its probes only bracket the
-    root.  Each probe runs a cheap inner solve (relative gap 1e-4) and
-    records the weak-duality lower bound of its iterate (_dual_bound, two dot
-    products past the TV its last gap check computed); the record is
-    certified when (objective - bound) / objective <= CHEAP_GAP.  At p = 2
-    the cheap solve also stops once its gap decides the sign of the defect
-    d = TV(r) - t, t = 1/(2 lam) on the normalized data: at a gap of
-    nu max(CHEAP_GAP M, min(CHEAP_GAP |d| / (2 band), SIGN_GAP t)),
-    M = max(TV(r), t), which decides d as surely as CHEAP_GAP decides a
-    defect of twice the band and never fires inside twice the band.  Past
-    the cold bracket the search stops at the first certified probe inside
-    the band 0.5 tol_residual.  Only a cheap probe near the root which is
-    not certified goes on to the gap tol_objective: at p = 2 one inside the
-    band (a cheap defect is known to a few 1e-4, so one between the band
-    and twice the band cannot move into it), at p = 1 one within twice the
-    band; at p = 1, whose bound is first order in the defect, a tight solve
-    inside the band that ended at or below CHEAP_GAP settles the search
-    too.  A budget that runs out before a probe inside the band is
-    certified (or, at p = 1, before its tight solve ends at or below that
-    gap) leaves the search unconverged.  Every inner solve appends one Probe
-    to report.probes, and the search reads its state from them: the
-    duality-gap floor of each solve, saturation, and the returned u, that of
-    the feasible record of least objective the search found, unless that
+    p = 1 runs the primal-dual solve of _PrimalDual from u = 0 for at most
+    max_iters iterations, until the bound of its dual point certifies its
+    objective to CHEAP_GAP; report.lower_bound is the larger of that bound
+    and the bound of the returned r.  tol_residual and inner_iters do not
+    apply, and probes and coarse stay empty.
+
+    p = 2 runs the root search over nu: one bracket loop from a start (nu,
+    w, slope), then Illinois false position on the bracket.  u* is nu times
+    the dual field of a probe.  The cold start (0.25, w = 0, no slope)
+    doubles nu, and its probes only bracket the root.  Each probe runs a
+    cheap inner solve (relative gap 1e-4) and records the weak-duality
+    lower bound of its iterate (_dual_bound, two dot products past the TV
+    its last gap check computed); the record is certified when (objective -
+    bound) / objective <= CHEAP_GAP.  The cheap solve also stops once its
+    gap decides the sign of the defect d = TV(r) - t, t = 1/(2 lam) on the
+    normalized data: at a gap of nu max(CHEAP_GAP M, min(CHEAP_GAP |d| / (2
+    band), SIGN_GAP t)), M = max(TV(r), t), which decides d as surely as
+    CHEAP_GAP decides a defect of twice the band and never fires inside
+    twice the band.  Past the cold bracket the search stops at the first
+    certified probe inside the band 0.5 tol_residual.  Only a cheap probe
+    inside the band which is not certified goes on to the gap tol_objective
+    (a cheap defect is known to a few 1e-4, so one between the band and
+    twice the band cannot move into it); no solve runs more than
+    inner_iters iterations.  A budget that runs out before a probe inside
+    the band is certified leaves the search unconverged.  Every inner solve
+    appends one Probe to report.probes, and the returned u is that of the
+    feasible record of least objective the search found, unless that
     record is uncertified and a certified one settles the search.
     report.lower_bound is the bound of the returned r, and report.gap_met
     says whether the solve behind u reached tol_objective, which a search
     that stops on a certified cheap probe does not ask for.
 
-    Coarse start.  When every axis has an even length and the 2^d-cell
-    average of f has at least COARSE_MIN_CELLS cells, the search first runs
-    on that average with the same lam, recursively.  A coarse level runs
-    cheap solves only, stops at its first probe inside the band and
-    certifies nothing.  The caller's grid then starts at the coarse root,
-    rescaled to the normalized data (nu_c ||f_c|| / ||f||), from the coarse
-    dual field prolonged piecewise-constant (still |w| <= 1), and takes
-    clamped secant steps from the slope of the coarse level's final bracket
-    until both signs of the defect are seen; these probes may settle the
-    search.  A trivial, unconverged or saturated coarse level leaves the
-    cold start; at p = 1 a coarse level stops, unconverged, once its
-    bracket runs from an unsaturated probe below the root to a saturated
-    one, where it would only close in on the saturation edge.  The coarse
-    solves are recorded in report.coarse, and all levels share one budget:
-    the iterations times the cells of every solve sum to at most max_iters
-    times the cells of f (a coarse level, with its own coarser levels, gets
-    at most max_iters iterations on its cells).  report.iterations counts
-    the iterations on f's grid, report.cell_iterations those of every level
-    times their cells.
+    Coarse start (p = 2).  When every axis has an even length and the
+    2^d-cell average of f has at least COARSE_MIN_CELLS cells, the search
+    first runs on that average with the same lam, recursively.  A coarse
+    level runs cheap solves only, stops at its first probe inside the band
+    and certifies nothing.  The caller's grid then starts at the coarse
+    root, rescaled to the normalized data (nu_c ||f_c|| / ||f||), from the
+    coarse dual field prolonged piecewise-constant (still |w| <= 1), and
+    takes clamped secant steps from the slope of the coarse level's final
+    bracket until both signs of the defect are seen; these probes may
+    settle the search.  A trivial or unconverged coarse level leaves the
+    cold start.  The coarse solves are recorded in report.coarse, and all
+    levels share one budget: the iterations times the cells of every solve
+    sum to at most max_iters times the cells of f (a coarse level, with its
+    own coarser levels, gets at most max_iters iterations on its cells).
+    report.iterations counts the iterations on f's grid,
+    report.cell_iterations those of every level times their cells.
     """
     grid = f.grid
     lam, p = cfg.lam, cfg.p
@@ -533,23 +702,36 @@ def minimize_flambda(
         return VectorField.zeros(grid), f.copy(), report
 
     fnorm = trivial["r_norm"]
-    level = _search(f, fnorm, cfg, certify=True)
-    rec, w = level.best
-    u_arr = (rec.nu * fnorm) * w
+    probes, coarse, bound, settled = [], [], -math.inf, True
+    if p == 1:
+        state = _PrimalDual(f.values / fnorm, grid, lam)
+        iterations = state.solve(cfg.max_iters)
+        u_arr = fnorm * state.u
+        # phi is dual feasible for f as for f / fnorm
+        bound = float(np.sum(f.values * state.dual_point())) * grid.cell_volume
+    else:
+        level = _search(f, fnorm, cfg, certify=True)
+        rec, w = level.best
+        u_arr = (rec.nu * fnorm) * w
+        probes, coarse, settled = level.probes, level.coarse, level.converged
+        iterations = sum(q.iterations for q in probes)
     r_field = ScalarField(grid, f.values - divergence_array(u_arr, grid))
     c = contract(f, u_arr, r_field, lam, p)
-    # at p = 2 the returned (u, r) themselves carry the certificate
-    converged = level.converged and (
-        p == 1 or c["objective"] - c["lower_bound"] <= CHEAP_GAP * c["objective"])
+    c["lower_bound"] = max(c["lower_bound"], bound)
+    # the returned (u, r) themselves carry the certificate
+    gap = c["objective"] - c["lower_bound"]
+    converged = settled and gap <= CHEAP_GAP * c["objective"]
+    gap_met = (gap <= cfg.tol_objective * c["objective"] if p == 1
+               else rec.gap_met and rec.gap <= cfg.tol_objective)
     if c["objective"] > trivial["objective"]:  # trivial bound must hold exactly
         u_arr, r_field, c, converged = np.zeros_like(u_arr), f.copy(), trivial, False
     report = SolverReport(
-        iterations=sum(q.iterations for q in level.probes),
+        iterations=iterations,
         converged=converged,
-        gap_met=rec.gap_met and rec.gap <= cfg.tol_objective,
-        cell_iterations=sum(q.iterations * q.cells for q in level.coarse + level.probes),
-        probes=level.probes,
-        coarse=level.coarse,
+        gap_met=gap_met,
+        cell_iterations=iterations * grid.size + sum(q.iterations * q.cells for q in coarse),
+        probes=probes,
+        coarse=coarse,
         **c,
     )
     return VectorField.from_arrays(grid, list(u_arr)), r_field, report
@@ -569,13 +751,14 @@ class _Level:
 
 
 def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool) -> _Level:
-    """The root search of minimize_flambda on f / fnorm: the bracket loop
-    from the start of _coarse_start, then the narrowing.  certify=False runs
-    a coarse level: cheap solves only, and best is the last record."""
+    """The root search of minimize_flambda at p = 2 on f / fnorm: the
+    bracket loop from the start of _coarse_start, then the narrowing.
+    certify=False runs a coarse level: cheap solves only, and best is the
+    last record."""
     grid = f.grid
-    lam, p = cfg.lam, cfg.p
+    lam = cfg.lam
     farr = f.values / fnorm
-    lam_eff = lam * fnorm ** (p - 1)
+    lam_eff = lam * fnorm
     coarse, start = _coarse_start(f, fnorm, cfg)
     state = _DualState(farr, grid)
     band = 0.5 * cfg.tol_residual
@@ -583,13 +766,7 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
     # the iterations this grid may run: max_iters less the coarse cell-iterations
     allowed = (cfg.max_iters * cells - sum(q.iterations * q.cells for q in coarse)) // cells
 
-    # the TV(r) the certificate asks for: 1/(2 lam) for p = 2, and for p = 1
-    # ||r||_2 / lam, here at r = f.  Saturation: for p = 1 the fidelity is
-    # an exact penalty, so past a finite nu the residual vanishes
-    # identically; such nu are flagged as feasible and the search closes in
-    # on the smallest one.
-    target = 1.0 / (2.0 * lam_eff) if p == 2 else 1.0 / lam_eff
-    t_floor = target if p == 2 else SATURATION_TOL / lam_eff
+    target = 1.0 / (2.0 * lam_eff)  # the TV(r) the certificate asks for
     probes: list[Probe] = []
 
     def left() -> int:
@@ -599,45 +776,36 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
         return min(cfg.inner_iters, left())
 
     def solve(nu: float, gap: float) -> Probe:
-        """One inner solve at nu to the relative gap, recorded in probes.
-        Its gap floor is the scale of the last unsaturated record; a cheap
-        p = 2 solve also stops once its gap decides the sign of its defect
-        as surely as the cheap gap decides it at twice the band."""
-        tv_ref = next((q.scale for q in reversed(probes) if not q.saturated), target)
+        """One inner solve at nu to the relative gap, recorded in probes,
+        with the target as its gap floor; a cheap solve also stops once its
+        gap decides the sign of its defect as surely as the cheap gap
+        decides it at twice the band."""
         cap = budget()
-        sign = (target, 2.0 * band) if p == 2 and gap == CHEAP_GAP else None
-        tv, iters, met, reached = state.solve(nu, cap, gap, tv_ref, sign)
+        sign = (target, 2.0 * band) if gap == CHEAP_GAP else None
+        tv, iters, met, reached = state.solve(nu, cap, gap, target, sign)
         r = state.residual(nu)
-        rnorm = lp_norm(ScalarField(grid, r), 2) if p == 1 else 0.0
-        t = target if p == 2 else rnorm / lam_eff
-        saturated = p == 1 and rnorm <= SATURATION_TOL
-        scale = max(t, t_floor)
         objective = (sup_magnitude((nu * fnorm) * state.w)
-                     + lam * lp_norm(ScalarField(grid, fnorm * r), 2) ** p)
+                     + lam * lp_norm(ScalarField(grid, fnorm * r), 2) ** 2)
         # the bound scales with the objective: fnorm times that of farr, r
-        bound = -math.inf if saturated else fnorm * _dual_bound(
-            farr, r, tv, grid.cell_volume, lam_eff, p)
+        bound = fnorm * _dual_bound(farr, r, tv, grid.cell_volume, lam_eff, 2)
         rec = Probe(nu=nu, gap=gap, gap_met=met, gap_reached=reached,
                     sign_decided=not met and iters < cap,
-                    iterations=iters, cells=cells,
-                    defect=-scale if saturated else tv - t, scale=scale,
-                    saturated=saturated, objective=objective, bound=bound)
+                    iterations=iters, cells=cells, defect=tv - target, scale=target,
+                    objective=objective, bound=bound)
         probes.append(rec)
         return rec
 
     def probe(nu: float) -> Probe:
         """Solve at nu; return the last record.  A cheap solve (gap 1e-4,
         TV(r) to a few 1e-4 relative) settles the sign of the defect
-        wherever it lies outside twice the certificate band, and at p = 2
-        stops as soon as its gap settles that sign.  Only a cheap record
-        near the root that is not certified continues to cfg.tol_objective,
-        and only on the caller's grid: at p = 2 one inside the band (a cheap
-        defect between band and twice the band cannot move into it), at
-        p = 1 one within twice the band.  No solve runs past the budget."""
+        wherever it lies outside twice the certificate band, and stops as
+        soon as its gap settles that sign.  Only a cheap record inside the
+        band (a cheap defect between band and twice the band cannot move
+        into it) that is not certified continues to cfg.tol_objective, and
+        only on the caller's grid.  No solve runs past the budget."""
         rec = solve(nu, CHEAP_GAP)
-        near = band if p == 2 else 2.0 * band
-        if (not certify or abs(rec.defect) > near * rec.scale
-                or rec.saturated or rec.certified or budget() <= 0):
+        if (not certify or abs(rec.defect) > band * rec.scale
+                or rec.certified or budget() <= 0):
             return rec
         return solve(nu, cfg.tol_objective)
 
@@ -646,19 +814,14 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
     def consider(rec: Probe) -> bool:
         """Keep rec as best if it is feasible with a lower objective;
         return whether it settles the search: inside the band and, on the
-        caller's grid, certified.  The p = 1 bound is first order in the
-        defect, so at p = 1 a record inside the band also settles when it
-        comes from a solve to cfg.tol_objective that ended at a gap no worse
-        than CHEAP_GAP (a tight solve the budget cuts off can end above the
-        gap of the cheap solve it continued).  A certified record that
-        settles the search replaces an uncertified best, so the returned u
-        carries its own certificate."""
+        caller's grid, certified.  A certified record that settles the
+        search replaces an uncertified best, so the returned u carries its
+        own certificate."""
         nonlocal best
-        in_band = abs(rec.defect) <= band * rec.scale and not rec.saturated
+        in_band = abs(rec.defect) <= band * rec.scale
         if (rec.defect <= 0 or in_band) and (best is None or rec.objective < best[0].objective):
             best = (rec, state.w.copy())
-        tight = p == 1 and rec.gap == cfg.tol_objective and rec.gap_reached <= CHEAP_GAP
-        settled = in_band and (not certify or rec.certified or tight)
+        settled = in_band and (not certify or rec.certified)
         if settled and rec.certified and not best[0].certified:
             best = (rec, state.w.copy())
         return settled
@@ -702,9 +865,6 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
 
     side = 0  # Illinois false position on the bracketed certificate defect
     while not converged and left() > 0:
-        # p = 1 closing in on the saturation edge: the start is dropped anyway
-        if not certify and lo is not None and hi is not None and hi.saturated:
-            break
         if d_hi < 0 < d_lo:
             nu = nu_hi - d_hi * (nu_hi - nu_lo) / (d_hi - d_lo)
             width = nu_hi - nu_lo
@@ -724,11 +884,8 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
             if side == 1:
                 d_lo *= 0.5
             side = 1
-        tiny = (nu_hi - nu_lo) <= 1e-14 * max(nu_hi, 1.0)
-        # exact-penalty optimum: the residual vanished at a bracketed edge
-        sat_edge = rec.saturated and (nu_hi - nu_lo) <= 1e-3 * max(nu_hi, 1e-300)
-        if settled or tiny or sat_edge:
-            converged = settled or sat_edge
+        if settled or (nu_hi - nu_lo) <= 1e-14 * max(nu_hi, 1.0):
+            converged = settled
             break
 
     if not certify:  # the slope of the relative defect over the final bracket
@@ -759,7 +916,7 @@ def _coarse_start(
     level = _search(fc, fcnorm, cfg, certify=False)
     rec, w = level.best
     records = level.coarse + level.probes
-    if not level.converged or rec.saturated or level.slope is None or level.slope >= 0:
+    if not level.converged or level.slope is None or level.slope >= 0:
         return records, cold
     ratio = fcnorm / fnorm
     return records, (rec.nu * ratio, _prolong(w), level.slope / ratio)

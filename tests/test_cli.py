@@ -264,6 +264,26 @@ def test_solve_rejects_an_option_its_method_does_not_read(tmp_path, capsys):
     assert not {"p", "tau", "mode", "levels", "max_iter"} & set(config)
 
 
+def test_gen_rejects_an_option_its_kind_does_not_read(tmp_path, capsys):
+    out = str(tmp_path / "f.bdiv")
+    for argv, flag in ((["nirenberg", "--seed", "5"], "--seed"),
+                       (["nirenberg", "--n", "16", "--alpha", "3"], "--alpha"),
+                       (["ball", "--law", "spikes"], "--law"),
+                       (["random", "--levels", "6"], "--levels"),
+                       (["tatar", "--n", "512", "--mean-zero", "--out2", out], "--mean-zero")):
+        argv = argv if "--n" in argv else [*argv, "--n", "16"]
+        assert run(["gen", "--kind", *argv, "--out", out]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.strip().endswith(f"does not read {flag}")
+    assert not list(tmp_path.iterdir())
+    # the manifest records the kind options given, and only those
+    rep_path = tmp_path / "rep.json"
+    assert run(["gen", "--kind", "random", "--n", "16", "--seed", "5", "--out", out,
+                "--report", str(rep_path)]) == cli.EXIT_OK
+    config = json.loads(rep_path.read_text())["manifest"]["config"]
+    assert config["seed"] == 5
+    assert not set(cli.GEN_OPTIONS) - {"seed"} & set(config)
+
+
 def test_norms_command_matches_library(tmp_path, capsys):
     data = tmp_path / "f.bdiv"
     run(["gen", "--kind", "random", "--n", "10", "--seed", "1",
@@ -509,12 +529,11 @@ def test_solve_minimize_reports_bound_and_certificate(tmp_path, capsys):
         assert verification["objective"] <= verification["trivial_bound"]
         assert verification["phi_tv"] >= 0.0
         assert verification["certificate_bound"] == pytest.approx(1.01 / 3.0)
+        assert verification["lower_bound"] <= verification["objective"]
         if p == "2":  # converged: the weak-duality bound certifies the objective
-            assert verification["lower_bound"] <= verification["objective"]
             assert 0.0 <= verification["rel_gap"] <= variational.CHEAP_GAP
-        else:  # saturated at lambda 3: no bound
-            assert verification["lower_bound"] is None
-            assert verification["rel_gap"] is None
+        else:  # exact penalty at lambda 3: r nearly vanishes, and its bound with it
+            assert verification["rel_gap"] > 0.5
 
 
 def test_solve_minimize_tampered_u_breaks_weak_duality(

@@ -10,8 +10,9 @@ variational cases again when the FISTA loop folded the grid spacing and the
 step into its stencils, and those of hier-p2, minimize-p2 and twostep when
 the root search began to stop on a cheap probe that the weak-duality bound
 certifies, and again when a cheap p = 2 solve began to stop once its gap
-decides the sign of its defect); a refactor of the CLI must leave them
-unchanged.  The hier-p1 case passes --lambda 1.0, the value the CLI
+decides the sign of its defect, and those of minimize-p1 and hier-p1 when
+p = 1 moved to the primal-dual solve); a refactor of the CLI must leave
+them unchanged.  The hier-p1 case passes --lambda 1.0, the value the CLI
 passed by default when the pins were taken."""
 
 import hashlib
@@ -96,13 +97,13 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                          'ok': True,
                                          'vector_sup_norm': 0.22093210866769905}},
           'hier-p1': {'code': 0,
-                      'files': {'trace.csv': 'a56f9affb12a10e0934ab2f242eff0cd819082bca9b75aaa7057e6d283eb8a58',
-                                'u1.bdiv': 'c7be0e5cb6163696d72b8458bebacc364e3baeb847d16780e8339522158387cf',
-                                'u2.bdiv': 'a6a5a93d7e09791111c4e8827de23ae1da83c313bac7eae18db49806e6fde9a7'},
+                      'files': {'trace.csv': 'd489f40895a7b7a3297f74a4f7ca8efcb47ee74a66b9db0ec34eb6fdc021f7cc',
+                                'u1.bdiv': 'a9bbed017a0d0fa8ea0b7dd53d1775a860604705b4c1d93d03ead1587a254ff1',
+                                'u2.bdiv': '6e6eef6213e1807d94ac7dbe577674d34d56c92779af2e0320598f1c29e035a2'},
                       'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                      'verification': {'component_sup_norms': [0.12585534109788457, 0.1258553451118504],
+                      'verification': {'component_sup_norms': [0.12596214766925642, 0.12596214766924682],
                                        'ok': True,
-                                       'vector_sup_norm': 0.1258553508635817}},
+                                       'vector_sup_norm': 0.12596214766941138}},
           'hier-p2': {'code': 0,
                       'files': {'trace.csv': 'd77487a59c737acbdf4a714c45d0316951c87f6d1acc3f39b050a2319fae5376',
                                 'u1.bdiv': 'e29c67e4ac388638cbc9a1849e879c535b83d7c4dcc376f22823782ee780111f',
@@ -130,13 +131,13 @@ GOLDEN = {'disjoint2d': {'code': 0,
                                          'ok': True,
                                          'vector_sup_norm': 1.589868641393516}},
           'minimize-p1': {'code': 0,
-                          'files': {'r.bdiv': 'b43df6c7ea08780cf1ff6102f4c84102c5505ee286cd004013edac99a14550ed',
-                                    'u1.bdiv': 'eb5c1a4fe7ae33cddb6834899c36d689d6ba930fa9c5eb3121e3e4e39d141bc5',
-                                    'u2.bdiv': '400185ea3922aae85feed26deb21786bd488a09a96f41ebf4ca11cfeeb8e7fb9'},
+                          'files': {'r.bdiv': 'd5b5ea69c72fe621560812213686d293e044f150707ed99185d17436c6edb88b',
+                                    'u1.bdiv': 'a9bbed017a0d0fa8ea0b7dd53d1775a860604705b4c1d93d03ead1587a254ff1',
+                                    'u2.bdiv': '6e6eef6213e1807d94ac7dbe577674d34d56c92779af2e0320598f1c29e035a2'},
                           'input': '90167e625e6ef1bd7809724e3af789ada60da18c803acc55540c5e2c8d1da218',
-                          'verification': {'component_sup_norms': [0.12577934120013673, 0.12728427379041712],
+                          'verification': {'component_sup_norms': [0.12596214766925642, 0.12596214766924682],
                                            'ok': True,
-                                           'vector_sup_norm': 0.1273128810663301}},
+                                           'vector_sup_norm': 0.12596214766941138}},
           'minimize-p2': {'code': 0,
                           'files': {'r.bdiv': 'd1fa6f79e7bf166f0a98d534ad9c9654e98804dd0404c2c2e1fc5d94f67f7f19',
                                     'u1.bdiv': '711bc54f12fa29a6fe239209dd1deced1f31bda74785b1fd7f0edc4b39b5f1c7',

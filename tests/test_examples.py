@@ -158,7 +158,8 @@ class TestExampleSpec:
 
         def generate(*argv):
             args = build_parser().parse_args(["gen", *argv, "--out", "x"])
-            return GENERATORS[args.kind](args)
+            reads, make = GENERATORS[args.kind]
+            return make(args.n, **{k: v for k, v in vars(args).items() if k in reads})
 
         ball = generate("--kind", "ball", "--n", "32", "--alpha", "2.0",
                         "--radius", "1.0")

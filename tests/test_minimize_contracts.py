@@ -1,7 +1,8 @@
 """Property tests of the `minimize_flambda` contracts, its weak-duality
-certificate and its probe records, on d = 1, 2, 3 grids that are boxes,
-tori or mixed, with anisotropic spacing, for p = 1 and p = 2.  Grids and
-budgets are small so the suite stays fast."""
+certificates and its probe records, on d = 1, 2, 3 grids that are boxes,
+tori or mixed, with anisotropic spacing, for p = 1 (the primal-dual solve)
+and p = 2 (the root search).  Grids and budgets are small so the suite
+stays fast."""
 
 from dataclasses import replace
 
@@ -10,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdiv import variational
 from bdiv.examples import nirenberg_field
-from bdiv.fields import Grid, ScalarField, discrete_divergence
+from bdiv.fields import Grid, ScalarField, discrete_divergence, inner
 from bdiv.norms import lp_norm, sup_norm_vector, tv_norm
 from bdiv.variational import (
     CHEAP_GAP,
-    SATURATION_TOL,
     VariationalConfig,
     _DualState,
     minimize_flambda,
@@ -59,21 +60,68 @@ def test_minimize_contracts_and_probe_records(grid, seed, p, k):
     assert not rep.trivial
     assert rep.iterations <= cfg.max_iters
     # a tight solve only follows an uncertified cheap solve at the same nu
-    # near the root: inside the band at p = 2, within twice the band at p = 1
+    # inside the band; p = 1 runs no probes (checked by _check_contracts)
     band = 0.5 * cfg.tol_residual
-    near = band if p == 2 else 2.0 * band
     for i, q in enumerate(rep.probes):
         if q.gap == cfg.tol_objective:
             cheap = rep.probes[i - 1]
             assert i > 0 and cheap.gap == 1e-4 and cheap.nu == q.nu
-            assert abs(cheap.defect) <= near * cheap.scale
-            assert not cheap.saturated and not cheap.certified
-        # only a cheap p = 2 solve stops on the sign of its defect, above the
-        # gap it asked for and outside twice the band, where it settles nothing
+            assert abs(cheap.defect) <= band * cheap.scale
+            assert not cheap.certified
+        # only a cheap solve stops on the sign of its defect, above the gap
+        # it asked for and outside twice the band, where it settles nothing
         if q.sign_decided:
-            assert p == 2 and q.gap == CHEAP_GAP
+            assert q.gap == CHEAP_GAP
             assert not q.gap_met and q.gap_reached > CHEAP_GAP
             assert abs(q.defect) > 2.0 * band * q.scale
+
+
+class _Recorded(variational._PrimalDual):
+    """The primal-dual state, remembering every instance made."""
+
+    made: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        _Recorded.made.append(self)
+
+
+def _solve_recorded(f, cfg):
+    """minimize_flambda(f, cfg) and the primal-dual states it made."""
+    _Recorded.made = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variational, "_PrimalDual", _Recorded)
+        return minimize_flambda(f, cfg), _Recorded.made
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=grids(), seed=st.integers(0, 10_000), k=st.floats(0.5, 40.0))
+def test_p1_primal_dual_contracts_and_certificate(grid, seed, k):
+    """The p = 1 solve: the contracts of minimize_flambda, the exact zero
+    below the threshold, a dual point phi that is feasible by norms' own
+    TV and L2 norm (TV(phi) <= 1, ||phi||_2 <= lam) and whose bound <f,
+    phi> the report's lower_bound takes in, and the same bits on a second
+    run."""
+    f = ScalarField(grid, np.random.default_rng(seed).standard_normal(grid.n))
+    lam = k / phi_p_tv(f, 1)
+    cfg = VariationalConfig(lam=lam, p=1, max_iters=4000)
+    (u, r, rep), made = _solve_recorded(f, cfg)
+    _check_contracts(f, cfg, u, r, rep)
+    if k <= 1.0:  # below the threshold the zero field, exactly, and no solve
+        assert rep.trivial and rep.converged and not made
+        assert np.all(u.as_array() == 0.0) and np.array_equal(r.values, f.values)
+        return
+    (state,) = made
+    phi = ScalarField(grid, state.dual_point())
+    assert tv_norm(phi, "isotropic") <= 1.0 + 1e-12
+    assert lp_norm(phi, 2) <= lam * (1.0 + 1e-12)
+    bound = inner(f, phi)
+    assert bound <= rep.lower_bound + 1e-12 * abs(rep.lower_bound)
+    assert bound <= rep.objective * (1.0 + 1e-12)
+    again = minimize_flambda(f, cfg)
+    assert np.array_equal(again[0].as_array(), u.as_array())
+    assert np.array_equal(again[1].values, r.values)
+    assert again[2] == rep
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -137,14 +185,15 @@ def _coarse_case(name, seed=0):
 
 
 def _check_contracts(f, cfg, u, r, rep):
-    """The minimize_flambda contracts: r = f - div u, the trivial bound, the
-    certificate band or p = 1 saturation on convergence, report.r_tv =
-    TV(r) bit for bit, the weak-duality bound (recomputed by the oracle
-    from the returned u and r) under the objective and, on convergence
-    with an unsaturated residual, within
-    CHEAP_GAP of it at p = 2 and within the band plus CHEAP_GAP at p = 1
-    (where the bound is first order in the certificate defect); and one
-    cell-iteration budget shared by every level."""
+    """The minimize_flambda contracts: r = f - div u, the trivial bound,
+    report.r_tv = TV(r) bit for bit, the weak-duality bound of r
+    (recomputed by the oracle from the returned u and r) under the
+    objective, report.lower_bound that bound at p = 2 and at least that
+    bound at p = 1 (where it also takes in the dual point of the
+    primal-dual solve), and on convergence a certified objective, (objective
+    - lower_bound) / objective <= CHEAP_GAP, with the certificate band at
+    p = 2; and one cell-iteration budget shared by every level, which at
+    p = 1 is one solve on the caller's grid with no probe records."""
     lam, p = cfg.lam, cfg.p
     scale = max(float(np.abs(f.values).max()), 1.0)
     resid = f.values - discrete_divergence(u).values - r.values
@@ -154,27 +203,36 @@ def _check_contracts(f, cfg, u, r, rep):
     objective = sup_norm_vector(u) + lam * lp_norm(r, 2) ** p
     assert rep.objective <= bound
     assert objective <= bound * (1 + 1e-12)
-    saturated = p == 1 and lp_norm(r, 2) <= SATURATION_TOL * fnorm
-    if rep.converged:
-        assert phi_p_tv(r, p) <= (1.0 + cfg.tol_residual) / lam or saturated
+    assert rep.objective == pytest.approx(objective, rel=1e-12)
+    if rep.converged and p == 2:
+        assert phi_p_tv(r, p) <= (1.0 + cfg.tol_residual) / lam
     assert rep.r_tv == tv_norm(r, "isotropic")
     grid = f.grid
-    lower = -np.inf if saturated else weak_duality_bound(
-        f.values, r.values, grid.h, grid.periodic, lam, p)
-    assert rep.lower_bound == pytest.approx(lower, rel=1e-12)
+    lower = weak_duality_bound(f.values, r.values, grid.h, grid.periodic, lam, p)
     assert lower <= objective * (1 + 1e-12)
-    if rep.converged and not saturated:
-        rel_gap = (objective - lower) / objective
-        assert rel_gap <= (CHEAP_GAP if p == 2 else 0.5 * cfg.tol_residual + CHEAP_GAP)
+    if p == 2:
+        assert rep.lower_bound == pytest.approx(lower, rel=1e-12)
+    else:
+        assert rep.lower_bound >= lower - 1e-12 * abs(lower)
+        assert rep.lower_bound <= rep.objective * (1 + 1e-12)
+        assert not rep.probes and not rep.coarse
+    if rep.converged:
+        assert rep.objective - rep.lower_bound <= CHEAP_GAP * rep.objective
     cells = f.grid.size
     assert all(q.cells == cells for q in rep.probes)
-    assert sum(q.iterations for q in rep.probes) == rep.iterations
-    spent = sum(q.iterations * q.cells for q in rep.coarse + rep.probes)
+    if p == 2:
+        assert sum(q.iterations for q in rep.probes) == rep.iterations
+        spent = sum(q.iterations * q.cells for q in rep.coarse + rep.probes)
+    else:
+        spent = rep.iterations * cells
     assert rep.cell_iterations == spent <= cfg.max_iters * cells
 
 
 @pytest.mark.parametrize("case", COARSE_CASES, ids=lambda c: f"{c[0]}-p{c[1]}-k{c[2]:g}")
 def test_coarse_start_keeps_the_contracts(case):
+    """The p = 2 search starts from the coarse levels and keeps the
+    contracts; on the same grids the p = 1 solve, which runs on the
+    caller's grid alone, converges and keeps them too."""
     name, p, k = case
     f = _coarse_case(name)
     cfg = VariationalConfig(lam=k / phi_p_tv(f, p), p=p, max_iters=20_000,
@@ -182,6 +240,8 @@ def test_coarse_start_keeps_the_contracts(case):
     u, r, rep = minimize_flambda(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
     assert rep.converged and not rep.trivial
+    if p == 1:
+        return
     # the coarse levels ran cheap solves only, on grids of 2^-d the cells each
     cells = f.grid.size
     assert rep.coarse and rep.probes[0].nu != 0.25  # started from the coarse root
@@ -192,14 +252,18 @@ def test_coarse_start_keeps_the_contracts(case):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_coarse_budget_is_shared(p):
-    """A budget too small for any level to converge: every level draws on
-    max_iters times the caller's cells, and the caller's grid runs the cold
-    search on what the coarse levels left."""
+    """A budget too small for any level to converge: at p = 2 every level
+    draws on max_iters times the caller's cells, and the caller's grid runs
+    the cold search on what the coarse levels left; at p = 1 the one solve
+    on the caller's grid spends it all, unconverged."""
     f = _coarse_case("box2d")
     cfg = VariationalConfig(lam=8.0 / phi_p_tv(f, p), p=p, max_iters=120)
     u, r, rep = minimize_flambda(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
-    assert rep.coarse and rep.probes[0].nu == 0.25
+    if p == 2:
+        assert rep.coarse and rep.probes[0].nu == 0.25
+    else:
+        assert not rep.converged and rep.iterations == cfg.max_iters
     assert rep.cell_iterations == cfg.max_iters * f.grid.size
 
 
@@ -217,7 +281,8 @@ def test_coarse_start_skipped_on_an_odd_axis():
 @pytest.mark.parametrize("p", [1, 2])
 def test_checkerboard_average_zero_takes_the_cold_search(p):
     """The 2x2 averages of a checkerboard are exactly 0: no coarse level
-    runs and nothing divides by ||f_c|| = 0."""
+    runs and nothing divides by ||f_c|| = 0 (nor, at p = 1, by anything
+    else)."""
     grid = Grid((46, 46), -1.0, 1.0, True)
     i, j = np.indices(grid.n)
     f = ScalarField(grid, np.where((i + j) % 2 == 0, 1.0, -1.0))
@@ -226,7 +291,8 @@ def test_checkerboard_average_zero_takes_the_cold_search(p):
     with np.errstate(divide="raise", invalid="raise"):
         u, r, rep = minimize_flambda(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
-    assert rep.converged and rep.coarse == [] and rep.probes[0].nu == 0.25
+    assert rep.converged and rep.coarse == []
+    assert p == 1 or rep.probes[0].nu == 0.25
 
 
 def _cut_after_cheap_probe_in_band(shape, inner_iters, extra):
@@ -282,16 +348,18 @@ def test_budget_cut_tight_solve_above_the_cheap_gap_is_not_converged(shape):
     _check_contracts(f, cut, u, r, rep)
 
 
-def test_p1_coarse_level_stops_short_of_the_saturation_edge():
-    """At p = 1 a coarse level whose bracket runs from an unsaturated probe
-    below the root to a saturated one stops there, unconverged, and the
-    caller's grid runs the cold search."""
+def test_p1_certifies_past_the_exact_penalty_threshold():
+    """The 46^2 Nirenberg field at p = 1, lam = 1, where the residual of the
+    minimizer vanishes: the primal-dual solve certifies its objective to
+    CHEAP_GAP.  The root search it replaced returned 0.3251375 there, with
+    no bound; the certified bound shows that objective 0.59% above the
+    optimum."""
     f = nirenberg_field(46)
-    cfg = VariationalConfig(lam=1.0, p=1, max_iters=60_000, inner_iters=2000)
-    u, r, rep = minimize_flambda(f, cfg)
+    cfg = VariationalConfig(lam=1.0, p=1, max_iters=60_000)
+    (u, r, rep), (state,) = _solve_recorded(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
-    assert rep.converged and rep.probes[0].nu == 0.25
-    last = rep.coarse[-1]
-    assert last.defect > 0 and not last.saturated
-    above = [q for q in rep.coarse if q.nu > last.nu]
-    assert above and min(above, key=lambda q: q.nu).saturated
+    assert rep.converged and rep.r_norm <= 1e-3 * lp_norm(f, 2)
+    phi = ScalarField(f.grid, state.dual_point())
+    assert tv_norm(phi, "isotropic") <= 1.0 + 1e-12 and lp_norm(phi, 2) <= 1.0 + 1e-12
+    assert rep.lower_bound == inner(f, phi)  # the dual point's bound, not r's
+    assert 0.3251375 > 1.0058 * rep.lower_bound

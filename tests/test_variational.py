@@ -323,8 +323,9 @@ def test_deep_regime_ball_converges(n, half_width, most):
 # stencils (same iterations both times), and the p = 2 pins when the search
 # began to stop on a cheap probe that the weak-duality bound certifies and
 # again when a cheap p = 2 solve began to stop once its gap decides the sign
-# of its defect; a change that keeps the iteration path must leave them
-# unchanged.
+# of its defect, and the p = 1 pins when p = 1 moved from the root search to
+# the primal-dual solve; a change that keeps the iteration path must leave
+# them unchanged.
 PIN_GRIDS = {
     "torus1d": ((40,), -1.0, 1.0, True),
     "box2d": ((12, 12), -1.0, 1.0, False),
@@ -340,9 +341,9 @@ SOLVER_PINS = {
         800,
     ),
     ("torus1d", 1): (
-        "7f11b406b175517a3841cd6ef80e49924a54953b12a5d1ebad2971430d5e4192",
-        "46c33b02c45737b8c80fac872d92b81f9f97323173190579ffe35d6bdf543433",
-        1100,
+        "f6560da8e6c95c1c1d3b5e823569faa1d173efb1315ab5791901b06eeeaf4d8e",
+        "d6acae37e9f67d1391696ba54a0ffe95785bbcb58aae24f38c39bda125ea3740",
+        50,
     ),
     ("box2d", 2): (
         "bc465028417ba4e58efce9fc921576f5666a326856ba07be3e484e0c7fee39e5",
@@ -350,9 +351,9 @@ SOLVER_PINS = {
         950,
     ),
     ("box2d", 1): (
-        "43df4097cf020effe4a7fba4e04d988f45c3a3436d496af42710aec6b55b6b1e",
-        "b38004f80d7cd3cdcf740a3115d5cc7d615fed79818b7ce9f0b5df3bce5dd8ca",
-        1650,
+        "8ecb5ece570de4605bc4e942b0b07c98ef0cc44d5567f33683af5ea0260d1346",
+        "6e73393feff1b3dcbf28207b0d2e754d314fd17f70fe8059e086ab4904661c4b",
+        50,
     ),
     ("aniso2d", 2): (
         "2ed39fa8e9057de7a6e421648e8c33a7e4c129a11e6c85116dbe4e45c8557b49",
@@ -360,9 +361,9 @@ SOLVER_PINS = {
         1600,
     ),
     ("aniso2d", 1): (
-        "65a717252aa75604f1b2e0246896277232221fc030124141ad1b2b2697ff0ae7",
-        "054ed027c2459df8cdd22e70d0c0b983c2121ccb7780ab0f90d919dc319e1711",
-        7500,
+        "6c6781ef7394f829035ca96b7c8ac693421fed47e4ad8c0a8c1bda923b718f5f",
+        "8f71f8168549a91cabd28db177bf1a27ba19973290ec090b45e561713473fd56",
+        50,
     ),
     ("torus3d", 2): (
         "f8a18ecd0028cdd5633d139c92946f1c44f18b79829db037fe2148a1178f5e97",
@@ -370,9 +371,9 @@ SOLVER_PINS = {
         750,
     ),
     ("torus3d", 1): (
-        "a81f70dabb10b4051950fd2bc43afa9e87f9a0a0ec279cdd84379d3bdf063749",
-        "7acc33bf035d3cb22bc390b252fc937710522dd119066594c1cc833264859dce",
-        1350,
+        "2d5843a2bb8e024ad1d5ea855864da6240c516675f070fd4882ff6ae53760ddd",
+        "1b2a162b14f1e0ed9f04cce219e3e78ec0e795b5fa2f91413e051b863bd7967e",
+        100,
     ),
     ("box3d", 2): (
         "272e128d992e1e9fecd47d63ede85e2a954e941c3d8dbbec6a741e4242179161",
@@ -380,9 +381,9 @@ SOLVER_PINS = {
         750,
     ),
     ("box3d", 1): (
-        "0672ce33f506a5c881670f7ecacdfd27e8a5cbc53cd1b89343247c3fab727da8",
-        "e5bc94c3e8e5968c0bb59b4cb14521132008589e3b2b2bd8f7dcb2e8da395fed",
-        1650,
+        "e1c85a8e351d7175c1f6766bb53cbafabbc27a6637c39e3fd37e7a9b99dd2c6e",
+        "9425ec9c7c008c132529f730fc85b94b17af6c1d8feb62f8ee558dd7ed5fa815",
+        50,
     ),
 }
 
@@ -414,8 +415,7 @@ def test_minimize_bit_identity_pins(case):
 # Nirenberg field of side n.  p = 2 runs `bench table1`'s solve at lam =
 # 1/||f||_2 (a secant start at 50^2; at 100^2 the 50^2 level itself starts
 # from 25^2; re-taken when a cheap p = 2 solve began to stop once its gap
-# decides the sign of its defect); p = 1 at lam = 1 is the coarse level that
-# stops short of its saturation edge, so the caller's grid starts cold.
+# decides the sign of its defect).
 COARSE_PINS = {
     (50, 2): (
         "81450b47af7632fcfb207b9be036ee482ee658761307bcaaec56c6728d06f071",
@@ -427,11 +427,6 @@ COARSE_PINS = {
         "76c3213d20f4a83416454632e78f280dbb54d3dc6edcde8eaa4e55f3da52164e",
         2600, 30_781_250, {625, 2500},
     ),
-    (46, 1): (
-        "63b551165ebfd51ab1b798cdb5b9bf981234780266a6e9114deb1bf6ff4e6ac9",
-        "16a3cd42722c7445a71bd570f72d5bf5211bb87254b5d4a007c66981b57498bd",
-        19_000, 41_711_650, {529},
-    ),
 }
 
 
@@ -439,15 +434,28 @@ COARSE_PINS = {
 def test_minimize_coarse_start_pins(case):
     n, p = case
     f = nirenberg_field(n)
-    if p == 2:
-        cfg = VariationalConfig(lam=1.0 / lp_norm(f, 2), **TABLE1_SETTINGS)
-    else:
-        cfg = VariationalConfig(lam=1.0, p=1, max_iters=60_000, inner_iters=2000)
+    cfg = VariationalConfig(lam=1.0 / lp_norm(f, 2), **TABLE1_SETTINGS)
     u, r, rep = minimize_flambda(f, cfg)
     assert rep.converged
     got = (_sha256(u.as_array()), _sha256(r.values), rep.iterations,
            rep.cell_iterations, {q.cells for q in rep.coarse})
     assert got == COARSE_PINS[case]
+
+
+def test_minimize_p1_nirenberg_pin():
+    """Bit-identity pin of the p = 1 primal-dual solve on a grid larger than
+    those of SOLVER_PINS: SHA-256 of u and r, report.iterations and
+    report.cell_iterations on the 46^2 Nirenberg field at lam = 1, past the
+    exact-penalty threshold (the case the root search left uncertified)."""
+    f = nirenberg_field(46)
+    u, r, rep = minimize_flambda(f, VariationalConfig(lam=1.0, p=1, max_iters=60_000))
+    assert rep.converged and not rep.coarse and not rep.probes
+    got = (_sha256(u.as_array()), _sha256(r.values), rep.iterations, rep.cell_iterations)
+    assert got == (
+        "3e2f87f7c77ed6a6ed9d6e3ded1fca2c82c90a961316d38fede2fa4006dcbe1e",
+        "dc3dd12b1514c66a7c2353316f957c18175612207d73dee352ed809f8d83c5fd",
+        16_050, 33_961_800,
+    )
 
 
 # (n, lo, hi, periodic) of d = 2 and 3 boxes, tori and mixed grids, several

@@ -129,13 +129,17 @@ print(json.dumps(out))
 
 
 # one timed FISTA solve per repeat, from a fresh zero dual field, so every
-# repeat does the same work; the median of the repeats per size; argv:
-# sizes, nu, iterations, repeats
+# repeat does the same work; the median of the repeats per size; the
+# certificate target 1.0 goes to _DualState where it takes one, else to
+# solve as the tv_ref of older checkouts; argv: sizes, nu, iterations, repeats
 FISTA_LAYER = """
-import json, statistics, sys, time
+import inspect, json, statistics, sys, time
 from bdiv.examples import nirenberg_field
 from bdiv.norms import lp_norm
 from bdiv.variational import _DualState
+
+at_init = "target" in inspect.signature(_DualState).parameters
+init, call = ((1.0,), ()) if at_init else ((), (1.0,))
 
 sizes, nu = sys.argv[1].split(","), float(sys.argv[2])
 iters, repeats = int(sys.argv[3]), int(sys.argv[4])
@@ -145,9 +149,9 @@ for n in map(int, sizes):
     farr = f.values / lp_norm(f, 2)
     times = []
     for _ in range(repeats):
-        state = _DualState(farr, f.grid)
+        state = _DualState(farr, f.grid, *init)
         t0 = time.perf_counter()
-        ran = state.solve(nu, iters, 0.0, 1.0)[1]
+        ran = state.solve(nu, iters, 0.0, *call)[1]
         times.append(time.perf_counter() - t0)
         if ran != iters:
             raise SystemExit(f"solve stopped after {ran} of {iters} iterations")

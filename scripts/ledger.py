@@ -137,13 +137,6 @@ def c8(args) -> None:
         print(f"k={k}: along +g {up:+.4f}, along -g {down:+.4f}")
 
 
-def _ending(q) -> str:
-    """How an inner solve ended: at the duality gap it asked for, once its
-    gap decided the sign of its defect (cheap p = 2 solves), or at its
-    iteration cap."""
-    return "gap" if q.gap_met else "sign" if q.sign_decided else "cap"
-
-
 def _print_probes(label: str, rep) -> None:
     """The run's totals, with the objective and its relative gap (objective
     - lower_bound) / objective, then, for the p = 2 root search, one line
@@ -156,13 +149,13 @@ def _print_probes(label: str, rep) -> None:
           f"{rep.cell_iterations / 1e6:.1f} M cell-iterations over all levels; "
           f"objective {rep.objective:.6f}, relative gap "
           f"{(rep.objective - rep.lower_bound) / rep.objective:.2e}; "
-          f"converged={rep.converged} gap_met={rep.gap_met}")
-    for cells in sorted({q.cells for q in rep.coarse + rep.probes}):
-        level = [q for q in rep.coarse + rep.probes if q.cells == cells]
+          f"converged={rep.converged}")
+    for cells in sorted({q.cells for q in rep.probes}):
+        level = [q for q in rep.probes if q.cells == cells]
         tight = [q for q in level if q.gap != 1e-4]
         last = [q for q in level if q.nu == level[-1].nu]
         iters = sum(q.iterations for q in level)
-        ends = [_ending(q) for q in level]
+        ends = [q.ending for q in level]
         print(f"  {cells} cells: {len(level)} solves ({len(tight)} tight; ended "
               f"{ends.count('gap')} at the gap, {ends.count('sign')} sign decided, "
               f"{ends.count('cap')} at the cap), "

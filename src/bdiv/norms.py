@@ -1,5 +1,5 @@
-"""Norms and functionals: Lp, Lorentz, set-based weak-Lp, Morrey, discrete
-total variation, and the derivative of the p-th power of the L2 norm.
+"""Norms and functionals: Lp, Lorentz, set-based weak-Lp, Morrey and
+discrete total variation.
 
 Lorentz norms are evaluated exactly for grid step functions by closed-form
 integration of the piecewise-constant decreasing rearrangement; no quadrature

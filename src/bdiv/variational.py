@@ -7,16 +7,11 @@ w with a pointwise-constrained dual field |w(x)|_2 <= 1 and a scalar nu >=
 0: for fixed nu, w solves the quadratic dual min 0.5 ||f - nu div w||^2
 (projected FISTA with adaptive restart), and nu is pinned by the residual
 certificate TV(r) = 1/(2 lambda) through a bracketed one-dimensional root
-search with warm starts.  Each probe of the search solves to a cheap
-duality gap first, which fixes the sign of the certificate defect wherever
-it lies outside twice the band, and stops as soon as its gap decides that
-sign, at a gap that grows with the defect up to SIGN_GAP.  Weak duality
-bounds the objective from below at the cost of two dot products of the
-probe's residual (_dual_bound), and the search stops at the first probe
-inside the band whose objective that bound certifies to CHEAP_GAP; a probe
-inside the band that the cheap solve did not certify continues to the
-tight gap.  Hitting the certificate is then part of the construction
-rather than a limit property.
+search with warm starts (_search).  A probe stops its cheap solve once
+the gap decides the sign of the certificate defect, and the search stops
+at the first probe inside the band whose objective the weak-duality bound
+of its residual (_dual_bound) certifies to CHEAP_GAP.  Hitting the
+certificate is then part of the construction rather than a limit property.
 
 Coarse start (p = 2).  The root nu* hardly moves with resolution, so on a
 grid with even axes whose 2^d-cell average has at least COARSE_MIN_CELLS
@@ -97,12 +92,11 @@ COARSE_MIN_CELLS = 512
 class VariationalConfig:
     """Knobs of the minimizer.
 
-    max_iters caps the total first-order iterations: across the root
-    search at p = 2, of the primal-dual solve at p = 1.  tol_objective is
-    the relative duality-gap tolerance of the inner solves (at p = 1 only
-    what gap_met reports against); tol_residual, the accepted relative width
-    of the certificate band around the target, and inner_iters, the cap of
-    one inner solve, apply at p = 2 only.
+    p = 1 reads lam and max_iters, the cap of its primal-dual iterations.
+    p = 2 reads them all: max_iters caps the iterations across the root
+    search, inner_iters those of one inner solve, tol_objective is the
+    relative duality gap of a tight inner solve, and tol_residual the
+    accepted relative width of the certificate band around the target.
     """
 
     lam: float
@@ -119,37 +113,35 @@ class VariationalConfig:
             raise ValueError(f"fidelity exponent must be 1 or 2, got {self.p}")
         if self.tol_objective <= 0 or self.tol_residual <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_iters < 1 or self.inner_iters < 1:
+            raise ValueError("iteration caps must be at least 1")
 
 
 @dataclass
 class Probe:
-    """One inner solve of the p = 2 root search, at nu on the
+    """One inner solve of the p = 2 root search, at nu on its level's
     unit-normalized data.
 
-    gap is the relative duality gap asked (1e-4 for the cheap solve,
-    tol_objective for the tight one), gap_met whether it was reached, and
-    gap_reached the relative gap of the solve's last check; sign_decided
-    says that a cheap solve stopped before its iteration cap, above its
-    gap, because that gap already decided the sign of its defect (such a
-    record lies outside twice the band, so it never settles the search); a
-    solve neither met nor decided stopped at its cap; cells is the cell
-    count of the grid it ran on; defect is the certificate defect TV(r) -
-    scale, positive while nu is below the root, and scale the target TV(r)
-    = 1 / (2 lam) on the normalized data; objective is that of the iterate
-    on the data of its grid, and bound the weak-duality lower bound on its
-    minimum from the iterate's residual (_dual_bound).  The record is
-    certified when (objective - bound) / objective <= CHEAP_GAP.
+    gap is the relative duality gap asked (CHEAP_GAP, or tol_objective for
+    a tight solve) and gap_reached that of the solve's last check; ending
+    says how the solve stopped: "gap" at the gap asked, "sign" once the gap
+    of a cheap solve decided the sign of its defect (outside twice the
+    band, so the record never settles the search), "cap" at its iteration
+    cap.  cells is the cell count of the grid it ran on; defect is the
+    certificate defect TV(r) - 1 / (2 lam) on the normalized data, positive
+    while nu is below the root; objective is that of the iterate on the data
+    of its grid, and bound the weak-duality lower bound on its minimum from
+    the iterate's residual (_dual_bound).  The record is certified when
+    (objective - bound) / objective <= CHEAP_GAP.
     """
 
     nu: float
     gap: float
-    gap_met: bool
+    ending: str
     gap_reached: float
-    sign_decided: bool
     iterations: int
     cells: int
     defect: float
-    scale: float
     objective: float
     bound: float
 
@@ -169,17 +161,12 @@ class SolverReport:
     larger of it and the bound of the primal-dual solve's dual point.
     converged means the returned (u, r) are certified, (objective -
     lower_bound) / objective <= CHEAP_GAP, and at p = 2 also that the
-    search settled inside the certificate band.  gap_met means the solve
-    behind the returned u reached the duality-gap tolerance tol_objective:
-    at p = 2 the inner solve, rather than stopping at its iteration cap, on
-    the sign of its defect or only at the cheap gap (a search that stops on
-    a certified cheap solve leaves it false); at p = 1 the returned (u, r)
-    themselves.  probes holds one record per inner solve of the p = 2 root
-    search on the caller's grid, in the order they ran, and coarse those of
-    the coarse levels (coarsest first); both are empty at p = 1.
-    iterations counts the inner iterations on the caller's grid,
-    cell_iterations the iterations times the cells of every solve, coarse
-    ones included.
+    search settled inside the certificate band.  probes holds one record
+    per inner solve of the p = 2 root search, in the order they ran: the
+    coarse levels' first, coarsest first, each record's cells naming its
+    level; it is empty at p = 1.  iterations counts the iterations on the
+    caller's grid, cell_iterations the iterations times the cells of every
+    solve, coarse ones included.
     """
 
     iterations: int
@@ -189,12 +176,10 @@ class SolverReport:
     r_tv: float
     phi_tv: float
     converged: bool
-    gap_met: bool
     lower_bound: float = -math.inf
     trivial: bool = False
     cell_iterations: int = 0
     probes: list[Probe] = field(default_factory=list)
-    coarse: list[Probe] = field(default_factory=list)
 
 
 @dataclass
@@ -304,7 +289,8 @@ def _magnitude_calls(g: np.ndarray, mag: np.ndarray, tmp: np.ndarray | None) -> 
 
 class _DualState:
     """Warm-startable projected-FISTA solve of min_{|w(x)|<=1}
-    0.5 ||f - nu div w||^2 on unit-normalized data.
+    0.5 ||f - nu div w||^2 on unit-normalized data, toward the certificate
+    target, the TV(r) the root search asks for.
 
     The pointwise magnitude |w(x)|_2 is the formula of ``norms``: the square
     root of the squared components summed in axis order (np.abs for d = 1),
@@ -348,9 +334,10 @@ class _DualState:
     gradient of the gap check; _mag holds the magnitude.
     """
 
-    def __init__(self, farr: np.ndarray, grid: Grid):
+    def __init__(self, farr: np.ndarray, grid: Grid, target: float):
         self.farr = farr
         self.grid = grid
+        self.target = target
         self.vol = grid.cell_volume
         self.lips = sum(4.0 / h**2 for h in grid.h)  # ||div||^2
         self.h0 = grid.h[0]
@@ -410,27 +397,26 @@ class _DualState:
         ]
 
     def solve(
-        self, nu: float, max_iters: int, gap_rel: float, tv_ref: float,
-        sign: tuple[float, float] | None = None,
+        self, nu: float, max_iters: int, gap_rel: float, width: float | None = None
     ) -> tuple[float, int, bool, float]:
         """Run FISTA from the current w; returns the achieved TV(r), the
         iterations run, whether the duality gap reached its threshold, and
         the relative gap of the last check.
 
         Stops when the duality gap falls below gap_rel times the natural
-        scale nu * M, M = max(TV(r), tv_ref); tv_ref keeps the threshold sane
-        when the residual collapses.  With sign = (t, width)
-        it also stops, its threshold unmet, once the gap falls below nu
-        min(gap_rel |TV(r) - t| / width, SIGN_GAP t): the gap that decides
-        the sign of the defect TV(r) - t as surely as gap_rel decides it at
-        |TV(r) - t| = width, capped.  Momentum restarts when the
-        gradient-mapping direction turns against the last step.  With no
-        iterations allowed it only evaluates TV(r) and the gap of the
-        current w.
+        scale nu * M, M = max(TV(r), target); the target keeps the threshold
+        sane when the residual collapses.  With a width it also stops, its
+        threshold unmet, once the gap falls below nu min(gap_rel |TV(r) -
+        target| / width, SIGN_GAP target): the gap that decides the sign of
+        the defect TV(r) - target as surely as gap_rel decides it at a defect
+        of width, capped.  Momentum restarts when the gradient-mapping
+        direction turns against the last step.  With no iterations allowed
+        it only evaluates TV(r) and the gap of the current w.
         """
+        target = self.target
         if max_iters <= 0:
             tv, gap = self.tv_and_gap(nu)
-            return tv, 0, False, gap / max(nu * max(tv, tv_ref), 1e-300)
+            return tv, 0, False, gap / max(nu * max(tv, target), 1e-300)
         step = 1.0 / (nu * self.lips)  # descent step times nu folded in
         np.multiply(self.farr, -(step / self.h0), out=self._fs)
         c = step * nu / self.h0**2
@@ -452,11 +438,11 @@ class _DualState:
             if it % CHECK_EVERY == 0 or it == max_iters:
                 self.w = w2[k]
                 tv, gap = self.tv_and_gap(nu)
-                scale = max(nu * max(tv, tv_ref), 1e-300)
+                scale = max(nu * max(tv, target), 1e-300)
                 if gap <= gap_rel * scale:
                     return tv, it, True, gap / scale
-                if sign is not None and gap <= nu * min(
-                        gap_rel * abs(tv - sign[0]) / sign[1], SIGN_GAP * sign[0]):
+                if width is not None and gap <= nu * min(
+                        gap_rel * abs(tv - target) / width, SIGN_GAP * target):
                     return tv, it, False, gap / scale
         return tv, max_iters, False, gap / scale
 
@@ -624,11 +610,12 @@ class _PrimalDual:
                 objective, bound = self.check()
                 if objective - bound <= CHEAP_GAP * objective:
                     return it
-        return max(max_iters, 0)
+        return max_iters
 
     def dual_point(self) -> np.ndarray:
         """phi = -c y / vol of the last check (0 before any), a new array."""
         return (-self.c / self.vol) * self.y
+
 
 def minimize_flambda(
     f: ScalarField, cfg: VariationalConfig
@@ -647,62 +634,26 @@ def minimize_flambda(
     p = 1 runs the primal-dual solve of _PrimalDual from u = 0 for at most
     max_iters iterations, until the bound of its dual point certifies its
     objective to CHEAP_GAP; report.lower_bound is the larger of that bound
-    and the bound of the returned r.  tol_residual and inner_iters do not
-    apply, and probes and coarse stay empty.
+    and the bound of the returned r.
 
-    p = 2 runs the root search over nu: one bracket loop from a start (nu,
-    w, slope), then Illinois false position on the bracket.  u* is nu times
-    the dual field of a probe.  The cold start (0.25, w = 0, no slope)
-    doubles nu, and its probes only bracket the root.  Each probe runs a
-    cheap inner solve (relative gap 1e-4) and records the weak-duality
-    lower bound of its iterate (_dual_bound, two dot products past the TV
-    its last gap check computed); the record is certified when (objective -
-    bound) / objective <= CHEAP_GAP.  The cheap solve also stops once its
-    gap decides the sign of the defect d = TV(r) - t, t = 1/(2 lam) on the
-    normalized data: at a gap of nu max(CHEAP_GAP M, min(CHEAP_GAP |d| / (2
-    band), SIGN_GAP t)), M = max(TV(r), t), which decides d as surely as
-    CHEAP_GAP decides a defect of twice the band and never fires inside
-    twice the band.  Past the cold bracket the search stops at the first
-    certified probe inside the band 0.5 tol_residual.  Only a cheap probe
-    inside the band which is not certified goes on to the gap tol_objective
-    (a cheap defect is known to a few 1e-4, so one between the band and
-    twice the band cannot move into it); no solve runs more than
-    inner_iters iterations.  A budget that runs out before a probe inside
-    the band is certified leaves the search unconverged.  Every inner solve
-    appends one Probe to report.probes, and the returned u is that of the
-    feasible record of least objective the search found, unless that
-    record is uncertified and a certified one settles the search.
-    report.lower_bound is the bound of the returned r, and report.gap_met
-    says whether the solve behind u reached tol_objective, which a search
-    that stops on a certified cheap probe does not ask for.
-
-    Coarse start (p = 2).  When every axis has an even length and the
-    2^d-cell average of f has at least COARSE_MIN_CELLS cells, the search
-    first runs on that average with the same lam, recursively.  A coarse
-    level runs cheap solves only, stops at its first probe inside the band
-    and certifies nothing.  The caller's grid then starts at the coarse
-    root, rescaled to the normalized data (nu_c ||f_c|| / ||f||), from the
-    coarse dual field prolonged piecewise-constant (still |w| <= 1), and
-    takes clamped secant steps from the slope of the coarse level's final
-    bracket until both signs of the defect are seen; these probes may
-    settle the search.  A trivial or unconverged coarse level leaves the
-    cold start.  The coarse solves are recorded in report.coarse, and all
-    levels share one budget: the iterations times the cells of every solve
-    sum to at most max_iters times the cells of f (a coarse level, with its
-    own coarser levels, gets at most max_iters iterations on its cells).
-    report.iterations counts the iterations on f's grid,
-    report.cell_iterations those of every level times their cells.
+    p = 2 runs the root search over nu of _search, u* = nu times the dual
+    field of a probe, starting from the root found on the 2^d-cell average
+    of f when _coarse_start finds one.  Every inner solve of every level
+    appends one Probe to report.probes, and all levels share one budget:
+    the iterations times the cells of every solve sum to at most max_iters
+    times the cells of f.  A budget that runs out before a probe inside the
+    band is certified leaves the search unconverged.  report.lower_bound is
+    the bound of the returned r.
     """
     grid = f.grid
     lam, p = cfg.lam, cfg.p
     trivial = contract(f, np.zeros((grid.d,) + grid.n), f, lam, p)  # u = 0, r = f
     if _is_trivial(trivial, lam):
-        report = SolverReport(iterations=0, converged=True, gap_met=True, trivial=True,
-                              **trivial)
+        report = SolverReport(iterations=0, converged=True, trivial=True, **trivial)
         return VectorField.zeros(grid), f.copy(), report
 
     fnorm = trivial["r_norm"]
-    probes, coarse, bound, settled = [], [], -math.inf, True
+    probes, bound, settled = [], -math.inf, True
     if p == 1:
         state = _PrimalDual(f.values / fnorm, grid, lam)
         iterations = state.solve(cfg.max_iters)
@@ -713,25 +664,21 @@ def minimize_flambda(
         level = _search(f, fnorm, cfg, certify=True)
         rec, w = level.best
         u_arr = (rec.nu * fnorm) * w
-        probes, coarse, settled = level.probes, level.coarse, level.converged
-        iterations = sum(q.iterations for q in probes)
+        probes, settled = level.probes, level.converged
+        iterations = sum(q.iterations for q in probes if q.cells == grid.size)
     r_field = ScalarField(grid, f.values - divergence_array(u_arr, grid))
     c = contract(f, u_arr, r_field, lam, p)
     c["lower_bound"] = max(c["lower_bound"], bound)
     # the returned (u, r) themselves carry the certificate
-    gap = c["objective"] - c["lower_bound"]
-    converged = settled and gap <= CHEAP_GAP * c["objective"]
-    gap_met = (gap <= cfg.tol_objective * c["objective"] if p == 1
-               else rec.gap_met and rec.gap <= cfg.tol_objective)
+    converged = settled and c["objective"] - c["lower_bound"] <= CHEAP_GAP * c["objective"]
     if c["objective"] > trivial["objective"]:  # trivial bound must hold exactly
         u_arr, r_field, c, converged = np.zeros_like(u_arr), f.copy(), trivial, False
     report = SolverReport(
         iterations=iterations,
         converged=converged,
-        gap_met=gap_met,
-        cell_iterations=iterations * grid.size + sum(q.iterations * q.cells for q in coarse),
+        cell_iterations=iterations * grid.size + sum(
+            q.iterations * q.cells for q in probes if q.cells < grid.size),
         probes=probes,
-        coarse=coarse,
         **c,
     )
     return VectorField.from_arrays(grid, list(u_arr)), r_field, report
@@ -739,59 +686,66 @@ def minimize_flambda(
 
 @dataclass
 class _Level:
-    """The root search on one grid: its records and those of every coarser
-    level; best, the record behind the result and its dual field; the slope
-    d(defect/scale)/d nu of the final bracket, for a coarse level only."""
+    """The root search on one grid: the records of every coarser level and
+    then its own; best, the record behind the result and its dual field; the
+    slope d(defect/target)/d nu of the final bracket, for a coarse level
+    only."""
 
     probes: list[Probe]
-    coarse: list[Probe]
     best: tuple[Probe, np.ndarray]
     converged: bool
     slope: float | None = None
 
 
 def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool) -> _Level:
-    """The root search of minimize_flambda at p = 2 on f / fnorm: the
-    bracket loop from the start of _coarse_start, then the narrowing.
-    certify=False runs a coarse level: cheap solves only, and best is the
-    last record."""
+    """The root search of minimize_flambda at p = 2 on f / fnorm.
+
+    One bracket loop from the start of _coarse_start, then Illinois false
+    position on the bracket.  The cold start (nu = 0.25, w = 0, no slope)
+    doubles nu, and its probes only bracket the root; a coarse start takes
+    clamped secant steps until both signs of the defect are seen, and these
+    probes may settle the search, as may those of the narrowing.  Past the
+    cold bracket the search stops at the first probe inside the band 0.5
+    tol_residual that, on the caller's grid, is certified.  The returned u
+    is that of the feasible record (defect <= 0 or inside the band) of
+    least objective among the probes that may settle the search, unless
+    that record is uncertified and a certified one settles the search.
+    certify=False runs a coarse level: cheap solves only, it stops at its
+    first probe inside the band, certifies nothing, and best is the last
+    record.  No solve runs more than inner_iters iterations."""
     grid = f.grid
     lam = cfg.lam
     farr = f.values / fnorm
     lam_eff = lam * fnorm
-    coarse, start = _coarse_start(f, fnorm, cfg)
-    state = _DualState(farr, grid)
+    target = 1.0 / (2.0 * lam_eff)  # the TV(r) the certificate asks for
+    probes, start = _coarse_start(f, fnorm, cfg)
+    state = _DualState(farr, grid, target)
     band = 0.5 * cfg.tol_residual
     cells = grid.size
-    # the iterations this grid may run: max_iters less the coarse cell-iterations
-    allowed = (cfg.max_iters * cells - sum(q.iterations * q.cells for q in coarse)) // cells
-
-    target = 1.0 / (2.0 * lam_eff)  # the TV(r) the certificate asks for
-    probes: list[Probe] = []
 
     def left() -> int:
-        return allowed - sum(q.iterations for q in probes)
+        """The iterations this grid may still run: max_iters times its
+        cells less the cell-iterations of every level so far."""
+        return (cfg.max_iters * cells - sum(q.iterations * q.cells for q in probes)) // cells
 
     def budget() -> int:
         return min(cfg.inner_iters, left())
 
     def solve(nu: float, gap: float) -> Probe:
-        """One inner solve at nu to the relative gap, recorded in probes,
-        with the target as its gap floor; a cheap solve also stops once its
-        gap decides the sign of its defect as surely as the cheap gap
-        decides it at twice the band."""
+        """One inner solve at nu to the relative gap, recorded in probes; a
+        cheap solve also stops once its gap decides the sign of its defect
+        as surely as the cheap gap decides it at twice the band."""
         cap = budget()
-        sign = (target, 2.0 * band) if gap == CHEAP_GAP else None
-        tv, iters, met, reached = state.solve(nu, cap, gap, target, sign)
+        tv, iters, met, reached = state.solve(
+            nu, cap, gap, 2.0 * band if gap == CHEAP_GAP else None)
         r = state.residual(nu)
         objective = (sup_magnitude((nu * fnorm) * state.w)
                      + lam * lp_norm(ScalarField(grid, fnorm * r), 2) ** 2)
         # the bound scales with the objective: fnorm times that of farr, r
         bound = fnorm * _dual_bound(farr, r, tv, grid.cell_volume, lam_eff, 2)
-        rec = Probe(nu=nu, gap=gap, gap_met=met, gap_reached=reached,
-                    sign_decided=not met and iters < cap,
-                    iterations=iters, cells=cells, defect=tv - target, scale=target,
-                    objective=objective, bound=bound)
+        rec = Probe(nu=nu, gap=gap, ending="gap" if met else "sign" if iters < cap else "cap",
+                    gap_reached=reached, iterations=iters, cells=cells,
+                    defect=tv - target, objective=objective, bound=bound)
         probes.append(rec)
         return rec
 
@@ -804,7 +758,7 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
         into it) that is not certified continues to cfg.tol_objective, and
         only on the caller's grid.  No solve runs past the budget."""
         rec = solve(nu, CHEAP_GAP)
-        if (not certify or abs(rec.defect) > band * rec.scale
+        if (not certify or abs(rec.defect) > band * target
                 or rec.certified or budget() <= 0):
             return rec
         return solve(nu, cfg.tol_objective)
@@ -818,7 +772,7 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
         search replaces an uncertified best, so the returned u carries its
         own certificate."""
         nonlocal best
-        in_band = abs(rec.defect) <= band * rec.scale
+        in_band = abs(rec.defect) <= band * target
         if (rec.defect <= 0 or in_band) and (best is None or rec.objective < best[0].objective):
             best = (rec, state.w.copy())
         settled = in_band and (not certify or rec.certified)
@@ -854,7 +808,7 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
             if nu > 1e9:
                 break
         else:
-            rel = rec.defect / rec.scale
+            rel = rec.defect / target
             if last is not None and last[0] != nu:  # the secant of two fine records
                 secant = (rel - last[1]) / (nu - last[0])
                 slope = secant if secant < 0 else slope
@@ -890,12 +844,12 @@ def _search(f: ScalarField, fnorm: float, cfg: VariationalConfig, certify: bool)
 
     if not certify:  # the slope of the relative defect over the final bracket
         if hi is not None and hi.nu > nu_lo:
-            rel_lo = d_zero / target if lo is None else lo.defect / lo.scale
-            slope = (hi.defect / hi.scale - rel_lo) / (hi.nu - nu_lo)
-        return _Level(probes, coarse, (probes[-1], state.w), converged, slope)
+            rel_lo = (d_zero if lo is None else lo.defect) / target
+            slope = (hi.defect / target - rel_lo) / (hi.nu - nu_lo)
+        return _Level(probes, (probes[-1], state.w), converged, slope)
     if best is None:  # budget exhausted on the infeasible side; not converged
         best = (probe(nu_hi), state.w)
-    return _Level(probes, coarse, best, converged)
+    return _Level(probes, best, converged)
 
 
 def _coarse_start(
@@ -903,7 +857,16 @@ def _coarse_start(
 ) -> tuple[list[Probe], tuple[float, np.ndarray | None, float | None]]:
     """Records of the coarse levels below f's grid, and where the search on
     f / fnorm starts: (nu, w, slope of the relative defect in nu), or the
-    cold start (0.25, None, None), from the zero dual field with no slope."""
+    cold start (0.25, None, None), from the zero dual field with no slope.
+
+    When every axis has an even length and the 2^d-cell average f_c of f
+    has at least COARSE_MIN_CELLS cells, the search first runs on f_c with
+    the same lam, recursively, on at most max_iters iterations of its
+    cells.  The search on f then starts at the coarse root, rescaled to the
+    normalized data (nu_c ||f_c|| / ||f||), from the coarse dual field
+    prolonged piecewise-constant (still |w| <= 1), with the slope of the
+    coarse level's final bracket.  A trivial or unconverged coarse level
+    leaves the cold start."""
     grid = f.grid
     cold = (0.25, None, None)
     if any(n % 2 or n < 4 for n in grid.n) or grid.size >> grid.d < COARSE_MIN_CELLS:
@@ -915,11 +878,10 @@ def _coarse_start(
     fcnorm = trivial["r_norm"]
     level = _search(fc, fcnorm, cfg, certify=False)
     rec, w = level.best
-    records = level.coarse + level.probes
     if not level.converged or level.slope is None or level.slope >= 0:
-        return records, cold
+        return level.probes, cold
     ratio = fcnorm / fnorm
-    return records, (rec.nu * ratio, _prolong(w), level.slope / ratio)
+    return level.probes, (rec.nu * ratio, _prolong(w), level.slope / ratio)
 
 
 def _restrict(f: ScalarField) -> ScalarField:

@@ -594,22 +594,3 @@ def test_solve_minimize_false_convergence_breaks_certificate(
     assert verification["objective"] <= verification["trivial_bound"]
     assert verification["phi_tv"] > verification["certificate_bound"]
     assert verification["rel_gap"] > variational.CHEAP_GAP
-
-
-def test_solve_reports_gap_met_next_to_converged(tmp_path, capsys):
-    data = _torus_input(tmp_path)
-    f = fields.read_field(data)
-    for method, extra in (("minimize", ["--lambda", "3.0"]), ("twostep", [])):
-        rep_path = tmp_path / f"{method}.json"
-        code = run(["solve", "--method", method, *extra, "--input", str(data),
-                    "--out-prefix", str(tmp_path / method), "--report", str(rep_path)])
-        assert code == cli.EXIT_OK
-        solver = json.loads(rep_path.read_text())["solver"]
-        keys = list(solver)
-        assert keys[keys.index("converged") + 1] == "gap_met"
-        if method == "minimize":
-            cfg = variational.VariationalConfig(lam=3.0)
-            expect = variational.minimize_flambda(f, cfg)[2].gap_met
-        else:
-            expect = variational.two_step(f)[1].gap_met
-        assert solver["gap_met"] is expect

@@ -62,18 +62,19 @@ def test_minimize_contracts_and_probe_records(grid, seed, p, k):
     # a tight solve only follows an uncertified cheap solve at the same nu
     # inside the band; p = 1 runs no probes (checked by _check_contracts)
     band = 0.5 * cfg.tol_residual
+    target = 1.0 / (2.0 * lam * lp_norm(f, 2))  # on the normalized data
     for i, q in enumerate(rep.probes):
         if q.gap == cfg.tol_objective:
             cheap = rep.probes[i - 1]
             assert i > 0 and cheap.gap == 1e-4 and cheap.nu == q.nu
-            assert abs(cheap.defect) <= band * cheap.scale
+            assert abs(cheap.defect) <= band * target
             assert not cheap.certified
         # only a cheap solve stops on the sign of its defect, above the gap
         # it asked for and outside twice the band, where it settles nothing
-        if q.sign_decided:
+        if q.ending == "sign":
             assert q.gap == CHEAP_GAP
-            assert not q.gap_met and q.gap_reached > CHEAP_GAP
-            assert abs(q.defect) > 2.0 * band * q.scale
+            assert q.gap_reached > CHEAP_GAP
+            assert abs(q.defect) > 2.0 * band * target
 
 
 class _Recorded(variational._PrimalDual):
@@ -139,10 +140,10 @@ def test_sign_decided_probes_keep_the_sign_of_a_fresh_solve(grid, seed, k):
     target = 1.0 / (2.0 * cfg.lam * fnorm)  # the certificate TV(r) on f / fnorm
     band = 0.5 * cfg.tol_residual
     for q in rep.probes:
-        if not q.sign_decided:
+        if q.ending != "sign":
             continue
-        state = _DualState(f.values / fnorm, grid)
-        tv, _, met, _ = state.solve(q.nu, 400_000, 1e-6, target)
+        state = _DualState(f.values / fnorm, grid, target)
+        tv, _, met, _ = state.solve(q.nu, 400_000, 1e-6)
         assert met
         assert (tv > target) == (q.defect > 0)
         assert abs(tv - target) > band * target
@@ -184,6 +185,12 @@ def _coarse_case(name, seed=0):
     return ScalarField(grid, np.random.default_rng(seed).standard_normal(n))
 
 
+def _split(rep, f):
+    """The probe records of the coarse levels and those of f's grid."""
+    return ([q for q in rep.probes if q.cells < f.grid.size],
+            [q for q in rep.probes if q.cells == f.grid.size])
+
+
 def _check_contracts(f, cfg, u, r, rep):
     """The minimize_flambda contracts: r = f - div u, the trivial bound,
     report.r_tv = TV(r) bit for bit, the weak-duality bound of r
@@ -215,14 +222,14 @@ def _check_contracts(f, cfg, u, r, rep):
     else:
         assert rep.lower_bound >= lower - 1e-12 * abs(lower)
         assert rep.lower_bound <= rep.objective * (1 + 1e-12)
-        assert not rep.probes and not rep.coarse
+        assert not rep.probes
     if rep.converged:
         assert rep.objective - rep.lower_bound <= CHEAP_GAP * rep.objective
     cells = f.grid.size
-    assert all(q.cells == cells for q in rep.probes)
+    assert all(q.cells <= cells for q in rep.probes)
     if p == 2:
-        assert sum(q.iterations for q in rep.probes) == rep.iterations
-        spent = sum(q.iterations * q.cells for q in rep.coarse + rep.probes)
+        assert sum(q.iterations for q in rep.probes if q.cells == cells) == rep.iterations
+        spent = sum(q.iterations * q.cells for q in rep.probes)
     else:
         spent = rep.iterations * cells
     assert rep.cell_iterations == spent <= cfg.max_iters * cells
@@ -244,10 +251,11 @@ def test_coarse_start_keeps_the_contracts(case):
         return
     # the coarse levels ran cheap solves only, on grids of 2^-d the cells each
     cells = f.grid.size
-    assert rep.coarse and rep.probes[0].nu != 0.25  # started from the coarse root
-    assert all(q.gap == 1e-4 for q in rep.coarse)
-    assert {q.cells for q in rep.coarse} <= {cells >> (f.grid.d * j) for j in (1, 2, 3)}
-    assert cells >> f.grid.d in {q.cells for q in rep.coarse}
+    coarse, fine = _split(rep, f)
+    assert coarse and fine[0].nu != 0.25  # started from the coarse root
+    assert all(q.gap == 1e-4 for q in coarse)
+    assert {q.cells for q in coarse} <= {cells >> (f.grid.d * j) for j in (1, 2, 3)}
+    assert cells >> f.grid.d in {q.cells for q in coarse}
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -261,7 +269,8 @@ def test_coarse_budget_is_shared(p):
     u, r, rep = minimize_flambda(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
     if p == 2:
-        assert rep.coarse and rep.probes[0].nu == 0.25
+        coarse, fine = _split(rep, f)
+        assert coarse and fine[0].nu == 0.25
     else:
         assert not rep.converged and rep.iterations == cfg.max_iters
     assert rep.cell_iterations == cfg.max_iters * f.grid.size
@@ -274,7 +283,7 @@ def test_coarse_start_skipped_on_an_odd_axis():
                             inner_iters=2000)
     u, r, rep = minimize_flambda(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
-    assert rep.converged and rep.coarse == [] and rep.probes[0].nu == 0.25
+    assert rep.converged and _split(rep, f)[0] == [] and rep.probes[0].nu == 0.25
     assert rep.cell_iterations == rep.iterations * f.grid.size
 
 
@@ -291,7 +300,7 @@ def test_checkerboard_average_zero_takes_the_cold_search(p):
     with np.errstate(divide="raise", invalid="raise"):
         u, r, rep = minimize_flambda(f, cfg)
     _check_contracts(f, cfg, u, r, rep)
-    assert rep.converged and rep.coarse == []
+    assert rep.converged and _split(rep, f)[0] == []
     assert p == 1 or rep.probes[0].nu == 0.25
 
 
@@ -306,11 +315,13 @@ def _cut_after_cheap_probe_in_band(shape, inner_iters, extra):
                             inner_iters=inner_iters)
     _, _, full = minimize_flambda(f, cfg)
     band = 0.5 * cfg.tol_residual
-    i = next(i for i, q in enumerate(full.probes)
-             if q.gap == 1e-4 and abs(q.defect) <= band * q.scale)
-    coarse = sum(q.iterations * q.cells for q in full.coarse)
-    spent = sum(q.iterations for q in full.probes[: i + 1])
-    cut = replace(cfg, max_iters=spent + extra - (-coarse // f.grid.size))
+    target = 1.0 / (2.0 * cfg.lam * lp_norm(f, 2))  # on the normalized data
+    coarse, fine = _split(full, f)
+    i = next(i for i, q in enumerate(fine)
+             if q.gap == 1e-4 and abs(q.defect) <= band * target)
+    spent = sum(q.iterations for q in fine[: i + 1])
+    cells = sum(q.iterations * q.cells for q in coarse)
+    cut = replace(cfg, max_iters=spent + extra - (-cells // f.grid.size))
     return f, full, i, cut, minimize_flambda(f, cut)
 
 
@@ -324,10 +335,11 @@ def test_budget_cut_in_band_converged_iff_certified(shape, inner_iters):
     above the gap and uncertified, so a tight solve would have to follow
     and the cut leaves the search unconverged."""
     f, full, i, cut, (u, r, rep) = _cut_after_cheap_probe_in_band(shape, inner_iters, 0)
-    cheap = full.probes[i]
+    (coarse, fine), (full_coarse, full_fine) = _split(rep, f), _split(full, f)
+    cheap = full_fine[i]
     assert cheap.certified == (inner_iters == 2000)
-    assert rep.coarse == full.coarse and rep.probes == full.probes[: i + 1]
-    assert rep.converged == cheap.certified and not rep.gap_met
+    assert coarse == full_coarse and fine == full_fine[: i + 1]
+    assert rep.converged == cheap.certified
     _check_contracts(f, cut, u, r, rep)
 
 
@@ -338,13 +350,15 @@ def test_budget_cut_tight_solve_above_the_cheap_gap_is_not_converged(shape):
     solve: that record lies inside the band but ended above 1e-4, so it
     settles nothing and the search reports converged=False."""
     f, full, i, cut, (u, r, rep) = _cut_after_cheap_probe_in_band(shape, 100, 3)
-    assert full.probes[i].gap_reached > 1e-4
-    assert rep.coarse == full.coarse and rep.probes[:-1] == full.probes[: i + 1]
-    tight = rep.probes[-1]
+    (coarse, fine), (full_coarse, full_fine) = _split(rep, f), _split(full, f)
+    assert full_fine[i].gap_reached > 1e-4
+    assert coarse == full_coarse and fine[:-1] == full_fine[: i + 1]
+    tight = fine[-1]
     assert tight.gap == cut.tol_objective and tight.iterations == 3
     band = 0.5 * cut.tol_residual
-    assert abs(tight.defect) <= band * tight.scale and tight.gap_reached > 1e-4
-    assert not rep.converged and not rep.gap_met
+    target = 1.0 / (2.0 * cut.lam * lp_norm(f, 2))  # on the normalized data
+    assert abs(tight.defect) <= band * target and tight.gap_reached > 1e-4
+    assert not rep.converged
     _check_contracts(f, cut, u, r, rep)
 
 

@@ -138,6 +138,10 @@ class TestMinimize:
             VariationalConfig(lam=-1.0)
         with pytest.raises(ValueError):
             VariationalConfig(lam=1.0, p=3)
+        for caps in ({"inner_iters": 0}, {"inner_iters": -5}, {"max_iters": 0},
+                     {"max_iters": -5}):
+            with pytest.raises(ValueError):
+                VariationalConfig(lam=2.0, **caps)
 
     def test_zero_data(self):
         g = Grid((8, 8), -1.0, 1.0, periodic=True)
@@ -181,8 +185,9 @@ class TestMinimize:
         cfg = VariationalConfig(lam=lam)
         _, _, rep = minimize_flambda(f, cfg)
         band = 0.5 * cfg.tol_residual
+        target = 1.0 / (2.0 * lam * lp_norm(f, 2))  # on the normalized data
         feasible = [q for q in rep.probes
-                    if q.defect <= 0 or abs(q.defect) <= band * q.scale]
+                    if q.defect <= 0 or abs(q.defect) <= band * target]
         assert feasible
         assert all(rep.objective <= (1 + 1e-12) * q.objective for q in feasible)
 
@@ -257,7 +262,8 @@ def test_root_search_runs_tight_solves_only_near_the_root():
     _, _, rep = minimize_flambda(f, cfg)
     assert rep.converged
     band = 0.5 * cfg.tol_residual
-    probes = rep.probes
+    target = 1.0 / (2.0 * cfg.lam * lp_norm(f, 2))  # on the normalized data
+    probes = [q for q in rep.probes if q.cells == f.grid.size]
     for i, q in enumerate(probes):
         if q.gap != cfg.tol_objective:
             continue
@@ -265,27 +271,26 @@ def test_root_search_runs_tight_solves_only_near_the_root():
         # band, which the weak-duality bound did not certify
         cheap = [c for c in probes if c.nu == q.nu and c.gap == 1e-4]
         assert cheap == [probes[i - 1]]
-        assert abs(cheap[0].defect) <= band * cheap[0].scale
+        assert abs(cheap[0].defect) <= band * target
         assert not cheap[0].certified
     # the search settles on its first certified cheap probe in the band and
     # runs no tight solve at all
     last = probes[-1]
     assert all(q.gap == 1e-4 for q in probes)
-    assert last.certified and abs(last.defect) <= band * last.scale
+    assert last.certified and abs(last.defect) <= band * target
     assert not any(q.certified for q in probes[:-1])
     assert rep.lower_bound == pytest.approx(last.bound, rel=1e-9)
     assert (rep.objective - rep.lower_bound) / rep.objective <= CHEAP_GAP
-    assert not rep.gap_met
     assert sum(q.iterations for q in probes) == rep.iterations
     assert rep.iterations <= 1350
     # the first fine probe, 15% above the target, stops once its gap decides
     # that sign, after 450 iterations (1,100 to the cheap gap)
-    assert probes[0].sign_decided and probes[0].defect > 0
+    assert probes[0].ending == "sign" and probes[0].defect > 0
     # the coarse start: the 25^2 average runs first, and all levels together
     # cost at most 5 M cell-iterations (the cold search took 23.9 M, the
     # search that ended on a tight solve 15.8 M, the one whose cheap solves
     # all ran to the cheap gap 5.8 M)
-    assert {q.cells for q in rep.coarse} == {625}
+    assert {q.cells for q in rep.probes if q.cells < f.grid.size} == {625}
     assert rep.cell_iterations <= 5_000_000
 
 
@@ -309,7 +314,7 @@ def test_deep_regime_ball_converges(n, half_width, most):
     assert rep.converged and not rep.trivial
     assert rep.u_sup > 0.0 and np.abs(u.as_array()).max() > 0.0
     assert (rep.objective - rep.lower_bound) / rep.objective <= CHEAP_GAP
-    assert any(q.sign_decided for q in rep.coarse + rep.probes)
+    assert any(q.ending == "sign" for q in rep.probes)
     assert rep.iterations <= most
 
 
@@ -438,7 +443,7 @@ def test_minimize_coarse_start_pins(case):
     u, r, rep = minimize_flambda(f, cfg)
     assert rep.converged
     got = (_sha256(u.as_array()), _sha256(r.values), rep.iterations,
-           rep.cell_iterations, {q.cells for q in rep.coarse})
+           rep.cell_iterations, {q.cells for q in rep.probes if q.cells < f.grid.size})
     assert got == COARSE_PINS[case]
 
 
@@ -449,7 +454,7 @@ def test_minimize_p1_nirenberg_pin():
     exact-penalty threshold (the case the root search left uncertified)."""
     f = nirenberg_field(46)
     u, r, rep = minimize_flambda(f, VariationalConfig(lam=1.0, p=1, max_iters=60_000))
-    assert rep.converged and not rep.coarse and not rep.probes
+    assert rep.converged and not rep.probes
     got = (_sha256(u.as_array()), _sha256(r.values), rep.iterations, rep.cell_iterations)
     assert got == (
         "3e2f87f7c77ed6a6ed9d6e3ded1fca2c82c90a961316d38fede2fa4006dcbe1e",
@@ -482,9 +487,9 @@ def test_solver_tv_is_tv_norm(name):
     rng = np.random.default_rng(list(TV_GRIDS).index(name))
     for _ in range(3):
         f = ScalarField(grid, rng.standard_normal(n))
-        state = _DualState(f.values / lp_norm(f, 2), grid)
+        state = _DualState(f.values / lp_norm(f, 2), grid, 1.0)
         for nu in (0.005, 0.01, 0.02):
-            state.solve(nu, 20, 0.0, 1.0)
+            state.solve(nu, 20, 0.0)
             want = tv_norm(ScalarField(grid, state.residual(nu)), "isotropic")
             assert state.tv_and_gap(nu)[0] == want
 
@@ -521,11 +526,11 @@ def test_bound_buffers_match_reference_loop(name):
     rng = np.random.default_rng(list(BUFFER_GRIDS).index(name))
     f = ScalarField(grid, rng.standard_normal(n))
     farr = f.values / lp_norm(f, 2)
-    state = _DualState(farr, grid)
+    state = _DualState(farr, grid, 1.0)
     w = np.zeros((grid.d,) + grid.n)
     early = 0
     for nu, iters, gap_rel in BUFFER_SOLVES:
-        got = state.solve(nu, iters, gap_rel, 1.0)
+        got = state.solve(nu, iters, gap_rel)
         *want, w = fista_reference(farr, grid.h, grid.periodic, w, nu, iters,
                                    gap_rel, 1.0, CHECK_EVERY)
         assert got == tuple(want)
@@ -549,10 +554,10 @@ def test_folded_iterate_matches_unfolded_loop(name):
     rng = np.random.default_rng(100 + list(BUFFER_GRIDS).index(name))
     f = ScalarField(grid, rng.standard_normal(n))
     farr = f.values / lp_norm(f, 2)
-    state = _DualState(farr, grid)
+    state = _DualState(farr, grid, 1.0)
     w = np.zeros((grid.d,) + grid.n)
     for nu, iters in ((0.02, 25), (0.05, 30), (0.03, 5)):
-        tv, ran, met, gap = state.solve(nu, iters, 0.0, 1.0)
+        tv, ran, met, gap = state.solve(nu, iters, 0.0)
         want_tv, *want, w = fista_reference_unfolded(
             farr, grid.h, grid.periodic, w, nu, iters, 0.0, 1.0, CHECK_EVERY)
         assert (ran, met) == tuple(want[:2])

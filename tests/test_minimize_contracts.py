@@ -226,7 +226,10 @@ def _check_contracts(f, cfg, u, r, rep):
     if rep.converged:
         assert rep.objective - rep.lower_bound <= CHEAP_GAP * rep.objective
     cells = f.grid.size
-    assert all(q.cells <= cells for q in rep.probes)
+    # coarsest level first, down to f's grid, each 2^d times the one before
+    levels = [q.cells for q in rep.probes]
+    assert levels == sorted(levels)
+    assert set(levels) == {cells >> (grid.d * j) for j in range(len(set(levels)))}
     if p == 2:
         assert sum(q.iterations for q in rep.probes if q.cells == cells) == rep.iterations
         spent = sum(q.iterations * q.cells for q in rep.probes)
